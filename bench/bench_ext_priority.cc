@@ -11,8 +11,7 @@
  *
  * Like every replay driver, this bench runs on the discrete-event cluster
  * core (`sim::Cluster`) underneath `run_deployment`: arrivals are posted
- * as events and the engine advances step by step on the shared timeline,
- * bit-identical to the historical lockstep replay.
+ * as events and the engine advances step by step on the shared timeline.
  */
 
 #include <cstdio>

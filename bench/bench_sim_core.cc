@@ -3,9 +3,11 @@
  * Sim-core microbenchmark: how fast does the discrete-event cluster loop
  * itself go?
  *
- * ROADMAP item 1 wants the core's events/sec tracked across PRs so loop
- * regressions are caught when they land, not when a figure bench gets
- * slow. This driver replays synthetic N-engine / M-request fleets built
+ * This is the loop-layer number: it tracks the core's events/sec across
+ * changes so loop regressions are caught when they land. On real engines
+ * the loop is a small share of replay time; the end-to-end replay speed
+ * is measured by `perfbench/`. This driver replays synthetic N-engine /
+ * M-request fleets built
  * from trivial components (fixed-cost work units, no perf model), so the
  * measured time is almost entirely `Cluster::run` + `EventQueue` — the
  * loop, not the payload. Results append to a trajectory file

@@ -217,8 +217,8 @@ run_deployment(const Deployment& d,
         std::optional<fault::FaultStats> faults;
         if (router->fault_stats().any())
             faults = router->fault_stats();
-        // Same rule for lifecycle counters: absent unless the run had
-        // deadlines, cancels, hedges, breaker activity, or drains.
+        // Same rule for lifecycle counters: absent unless the run saw an
+        // expiry, a cancel, a hedge, breaker activity, or a drain.
         std::optional<engine::OverloadStats> overload;
         if (router->overload_stats().any())
             overload = router->overload_stats();

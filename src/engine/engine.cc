@@ -428,43 +428,4 @@ Engine::steal_waiting(std::int64_t max_tokens)
     return std::make_pair(r->spec, r->id);
 }
 
-void
-Engine::run_until(double t)
-{
-    while (now_ < t && has_work()) {
-        if (step())
-            continue;
-        // Nothing schedulable right now: either every waiting request is
-        // in the future (skip idle time) or the cache is stuck (yield).
-        // A pending deadline also ends the idle skip so expiry fires on
-        // time (earliest_deadline() is +inf without one).
-        const double next = std::min(scheduler_.earliest_waiting_arrival(),
-                                     scheduler_.earliest_deadline());
-        if (next > now_ && next <= t) {
-            now_ = next;
-            continue;
-        }
-        break;
-    }
-    now_ = std::max(now_, t);
-}
-
-void
-Engine::drain()
-{
-    while (has_work()) {
-        if (step())
-            continue;
-        const double next = std::min(scheduler_.earliest_waiting_arrival(),
-                                     scheduler_.earliest_deadline());
-        if (next > now_ && std::isfinite(next)) {
-            now_ = next;  // idle until the next arrival or deadline
-            continue;
-        }
-        fatal("engine deadlocked with " +
-              std::to_string(scheduler_.num_waiting()) +
-              " waiting requests: KV cache cannot admit the head request");
-    }
-}
-
 } // namespace shiftpar::engine

@@ -129,12 +129,10 @@ struct EngineConfig
 /**
  * One serving engine over one rank group.
  *
- * An engine is a `sim::Component`: the cluster core advances it one
- * scheduler iteration at a time, interleaved with other engines' steps
- * and with client events (arrivals, KV handoffs, migrations) in global
- * time order. The self-contained `run_until`/`drain` drive loop remains
- * for single-engine callers and as the lockstep reference the sim-core
- * equivalence test replays against.
+ * An engine is a `sim::Component` and has no drive loop of its own: a
+ * `sim::Cluster` advances it one scheduler iteration at a time,
+ * interleaved with other engines' steps and with client events
+ * (arrivals, KV handoffs, migrations) in global time order.
  */
 class Engine : public sim::Component
 {
@@ -165,16 +163,6 @@ class Engine : public sim::Component
     void submit_prefilled(const RequestSpec& spec, RequestId id,
                           std::int64_t already_decoded = 1);
 
-    /**
-     * Advance simulated time to `t`, executing steps while work exists.
-     * The final step may overshoot `t` (steps are atomic); idle time is
-     * skipped.
-     */
-    void run_until(double t);
-
-    /** Run until every submitted request has finished. */
-    void drain();
-
     /** sim::Component: the profiler attributes this engine's wall time
      *  under "engine". */
     const char* kind() const override { return "engine"; }
@@ -198,12 +186,11 @@ class Engine : public sim::Component
     bool advance_to(double t) override;
 
     /**
-     * Advance the clock without doing work (never backwards). The cluster
-     * replay syncs every replica to each arrival instant exactly like the
-     * lockstep loop's trailing `now_ = max(now_, t)`, keeping the two
-     * replays bit-identical. Moving the clock can promote a
-     * future-arrival wait into "ready now", so the ready cache is
-     * notified.
+     * Advance the clock without doing work (never backwards). The router
+     * syncs every replica to each arrival instant this way, so an idle
+     * replica does not act before the request it is about to receive.
+     * Moving the clock can promote a future-arrival wait into "ready
+     * now", so the ready cache is notified.
      */
     void advance_clock_to(double t)
     {

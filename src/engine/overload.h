@@ -21,12 +21,13 @@
  *    replicas (stragglers) instead of only fully failed ones.
  *
  * Everything here is off by default; with every knob at its default the
- * router's replay is bit-identical to one without the subsystem. When any
- * feature is active the conservation invariant becomes
+ * replay's results are those of a router without these features. Every
+ * replay, with or without them, tracks each request to one terminal
+ * outcome, and `Router::run_workload` asserts the conservation invariant
  *
  *   submitted = completed + lost + shed + expired + cancelled
  *
- * which `Router::run_workload` asserts over its per-request flight table.
+ * over its per-request flight table.
  */
 
 #pragma once
@@ -129,13 +130,16 @@ struct OverloadStats
     std::int64_t drained = 0;        ///< waiting requests handed back
     std::int64_t drain_resumes = 0;  ///< drained engines re-admitted
 
-    /** @return true when any counter is non-zero. */
+    /**
+     * @return true when any lifecycle event beyond plain completion was
+     * counted. `completed` is left out: every replay counts it.
+     */
     bool
     any() const
     {
-        return (completed | expired | cancelled | hedges | hedge_wins |
-                hedge_losses | breaker_opens | breaker_probes |
-                breaker_closes | drains | drained | drain_resumes) != 0;
+        return (expired | cancelled | hedges | hedge_wins | hedge_losses |
+                breaker_opens | breaker_probes | breaker_closes | drains |
+                drained | drain_resumes) != 0;
     }
 };
 

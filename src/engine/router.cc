@@ -17,13 +17,6 @@ Router::Router(std::vector<std::unique_ptr<Engine>> engines,
     SP_ASSERT(!engines_.empty());
 }
 
-void
-Router::run_until(double t)
-{
-    for (auto& e : engines_)
-        e->run_until(t);
-}
-
 std::size_t
 Router::select_replica()
 {
@@ -76,23 +69,6 @@ Router::publish(obs::EngineId engine, RequestId id, obs::RequestPhase phase,
 }
 
 void
-Router::submit(const RequestSpec& spec, RequestId id)
-{
-    const std::size_t pick = select_replica();
-    SP_ASSERT(pick < engines_.size(), "submit with every replica failed");
-    engines_[pick]->submit(spec, id);
-    publish(engines_[pick]->trace_id(), id, obs::RequestPhase::kRouted,
-            spec.arrival, spec.prompt_tokens);
-}
-
-void
-Router::drain()
-{
-    for (auto& e : engines_)
-        e->drain();
-}
-
-void
 Router::rebalance(double t)
 {
     // Failed replicas are invisible to the rebalancer: they can neither
@@ -140,17 +116,14 @@ Router::rebalance(double t)
 void
 Router::admit(const RequestSpec& spec, RequestId id, double t)
 {
-    if (should_shed(t)) {
+    if (should_shed()) {
         ++fault_stats_.shed;
         obs::MetricsRegistry::current().counter_add(
             "shiftpar_fault_requests_total", 1, {{"outcome", "shed"}});
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kShed, t,
                 spec.prompt_tokens);
-        if (lifecycle_active_) {
-            flights_[static_cast<std::size_t>(id)].outcome =
-                FlightOutcome::kShed;
-            count_outcome("shed");
-        }
+        flights_[static_cast<std::size_t>(id)].outcome = FlightOutcome::kShed;
+        count_outcome("shed");
         return;
     }
     if (overload_.breaker.enabled)
@@ -166,8 +139,7 @@ Router::admit(const RequestSpec& spec, RequestId id, double t)
     note_submit(pick, id);
     publish(engines_[pick]->trace_id(), id, obs::RequestPhase::kRouted,
             spec.arrival, spec.prompt_tokens);
-    if (lifecycle_active_ && overload_.hedge_delay > 0.0 &&
-        engines_.size() > 1) {
+    if (overload_.hedge_delay > 0.0 && engines_.size() > 1) {
         const double when = t + overload_.hedge_delay;
         active_cluster_->post(when, [this, spec, id, when] {
             maybe_hedge(spec, id, when);
@@ -176,9 +148,8 @@ Router::admit(const RequestSpec& spec, RequestId id, double t)
 }
 
 bool
-Router::should_shed(double t) const
+Router::should_shed() const
 {
-    (void)t;
     if (resilience_.shed_watermark <= 0.0)
         return false;
     int total = 0, alive = 0;
@@ -212,41 +183,36 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
 {
     SP_ASSERT(active_cluster_ != nullptr,
               "retries only run inside run_workload");
-    if (lifecycle_active_) {
-        const RequestId logical = logical_request_id(id);
-        Flight& f = flights_[static_cast<std::size_t>(logical)];
-        const bool clone = is_hedge_clone(id);
-        if (clone)
-            f.clone_live = false;
-        else
-            f.primary_live = false;
-        clear_breaker_probe(id);
-        if (f.outcome != FlightOutcome::kInFlight)
-            return;  // settled while this copy was being dropped
-        const bool other_lives = clone ? f.primary_live : f.clone_live;
-        if (f.hedged && other_lives) {
-            // One hedge copy dropped but its sibling lives on: the
-            // sibling carries the flight, no retry needed.
-            ++overload_stats_.hedge_losses;
-            count_outcome("hedge_lost");
-            publish(engines_[0]->trace_id(), id,
-                    obs::RequestPhase::kHedgeLost, t);
-            return;
-        }
-        // Every copy is gone: the retry targets the logical request.
-        id = logical;
+    const RequestId logical = logical_request_id(id);
+    Flight& f = flights_[static_cast<std::size_t>(logical)];
+    const bool clone = is_hedge_clone(id);
+    if (clone)
+        f.clone_live = false;
+    else
+        f.primary_live = false;
+    clear_breaker_probe(id);
+    if (f.outcome != FlightOutcome::kInFlight)
+        return;  // settled while this copy was being dropped
+    const bool other_lives = clone ? f.primary_live : f.clone_live;
+    if (f.hedged && other_lives) {
+        // One hedge copy dropped but its sibling lives on: the sibling
+        // carries the flight, no retry needed.
+        ++overload_stats_.hedge_losses;
+        count_outcome("hedge_lost");
+        publish(engines_[0]->trace_id(), id, obs::RequestPhase::kHedgeLost,
+                t);
+        return;
     }
+    // Every copy is gone: the retry targets the logical request.
+    id = logical;
     const int attempt = ++attempts_[id];
     if (attempt > resilience_.max_retries) {
         ++fault_stats_.lost;
         obs::MetricsRegistry::current().counter_add(
             "shiftpar_fault_requests_total", 1, {{"outcome", "lost"}});
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kLost, t);
-        if (lifecycle_active_) {
-            flights_[static_cast<std::size_t>(id)].outcome =
-                FlightOutcome::kLost;
-            count_outcome("lost");
-        }
+        f.outcome = FlightOutcome::kLost;
+        count_outcome("lost");
         return;
     }
     ++fault_stats_.retries;
@@ -260,9 +226,8 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
     publish(engines_[0]->trace_id(), id, obs::RequestPhase::kRetried, t,
             attempt);
     active_cluster_->post(when, [this, spec, id, when] {
-        if (lifecycle_active_ &&
-            flights_[static_cast<std::size_t>(id)].outcome !=
-                FlightOutcome::kInFlight)
+        if (flights_[static_cast<std::size_t>(id)].outcome !=
+            FlightOutcome::kInFlight)
             return;  // cancelled/expired while waiting out the backoff
         for (auto& e : engines_)
             e->advance_clock_to(when);
@@ -445,12 +410,12 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
                      });
 
     // Every replica is a component on one event timeline; each arrival is
-    // an event that syncs replica clocks to the arrival instant (the
-    // lockstep replay's trailing `now = max(now, t)`) and routes the
-    // request. The cluster interleaves arrivals and engine steps in
+    // an event that syncs replica clocks to the arrival instant and routes
+    // the request. The cluster interleaves arrivals and engine steps in
     // global time order, so with migration disabled the per-engine step
-    // sequences — and therefore all records and metrics — are
-    // bit-identical to the lockstep loop (see test_sim_equivalence).
+    // sequences — and therefore all records and metrics — equal those of
+    // a lockstep loop that advances every replica to each arrival,
+    // submits, and drains (pinned by test_sim_equivalence's goldens).
     sim::Cluster cluster;
     cluster.set_profile(profile_);
     active_cluster_ = &cluster;
@@ -458,33 +423,18 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
     attempts_.clear();
     pending_restores_.assign(engines_.size(), {});
 
-    // Lifecycle tracking turns on only when a feature needs it (any
-    // deadline in the workload, a cancel stream, hedging, or breakers);
-    // otherwise the replay takes the exact seed code path — no hooks, no
-    // flight table, bit-identical results.
-    bool any_deadline = false;
-    for (const RequestSpec& s : sorted) {
-        if (s.deadline > 0.0) {
-            any_deadline = true;
-            break;
-        }
-    }
-    lifecycle_active_ = overload_.any() || !cancels_.empty() || any_deadline;
+    // Every logical request gets a flight that some terminal outcome
+    // settles; the finish/expire hooks feed it.
     overload_stats_ = {};
-    flights_.clear();
+    flights_.assign(sorted.size(), {});
     breakers_.clear();
-    if (lifecycle_active_) {
-        flights_.assign(sorted.size(), {});
-        if (overload_.breaker.enabled)
-            breakers_.assign(engines_.size(), {});
-        for (std::size_t i = 0; i < engines_.size(); ++i) {
-            engines_[i]->set_on_finish([this, i](const Request& r) {
-                return on_lifecycle_finish(i, r);
-            });
-            engines_[i]->set_on_expire([this, i](RequestId id, double t) {
-                settle_expired(i, id, t);
-            });
-        }
+    if (overload_.breaker.enabled)
+        breakers_.assign(engines_.size(), {});
+    for (std::size_t i = 0; i < engines_.size(); ++i) {
+        engines_[i]->set_on_finish(
+            [this, i](const Request& r) { return settle_finished(i, r); });
+        engines_[i]->set_on_expire(
+            [this](RequestId id, double) { settle_expired(id); });
     }
 
     for (auto& e : engines_)
@@ -520,21 +470,17 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
                   "unfinished requests its KV cache cannot admit");
         }
     }
-    if (lifecycle_active_) {
-        for (auto& e : engines_) {
-            e->set_on_finish(nullptr);
-            e->set_on_expire(nullptr);
-        }
-        assert_conservation(sorted.size());
+    for (auto& e : engines_) {
+        e->set_on_finish(nullptr);
+        e->set_on_expire(nullptr);
     }
+    assert_conservation(sorted.size());
     return merged_metrics();
 }
 
 void
 Router::note_submit(std::size_t pick, RequestId id)
 {
-    if (!lifecycle_active_)
-        return;
     Flight& f =
         flights_[static_cast<std::size_t>(logical_request_id(id))];
     if (is_hedge_clone(id))
@@ -558,7 +504,7 @@ Router::count_outcome(const char* outcome, std::int64_t n) const
 }
 
 bool
-Router::on_lifecycle_finish(std::size_t idx, const Request& r)
+Router::settle_finished(std::size_t idx, const Request& r)
 {
     const RequestId logical = logical_request_id(r.id);
     const bool clone = is_hedge_clone(r.id);
@@ -609,9 +555,8 @@ Router::on_lifecycle_finish(std::size_t idx, const Request& r)
 }
 
 void
-Router::settle_expired(std::size_t idx, RequestId id, double t)
+Router::settle_expired(RequestId id)
 {
-    (void)idx;
     const RequestId logical = logical_request_id(id);
     Flight& f = flights_[static_cast<std::size_t>(logical)];
     if (is_hedge_clone(id))
@@ -626,7 +571,6 @@ Router::settle_expired(std::size_t idx, RequestId id, double t)
     f.outcome = FlightOutcome::kExpired;
     ++overload_stats_.expired;
     count_outcome("expired");
-    (void)t;
 }
 
 void

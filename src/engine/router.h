@@ -4,12 +4,12 @@
  *
  * A `Router` owns one engine per replica. Single-engine deployments (TP,
  * SP, Shift) use a one-element router; DP deployments use one engine per
- * GPU. `run_workload` replays a trace on the discrete-event cluster core
- * (`sim::Cluster`): arrivals are posted as events, every engine is a
- * component stepped in global time order, and the result is bit-identical
- * to the historical lockstep replay (advance everyone to each arrival,
- * submit, drain) — which is exactly how the paper's client-side benchmark
- * drives the server. The shared timeline additionally enables an optional
+ * GPU. `run_workload` is the only way to drive them: it replays a trace
+ * on the discrete-event cluster core (`sim::Cluster`), where arrivals are
+ * posted as events and every engine is a component stepped in global time
+ * order — the way the paper's client-side benchmark drives the server.
+ * Every replay tracks each request to one terminal outcome and asserts
+ * conservation. The shared timeline additionally enables an optional
  * cross-replica migration hook that re-routes queued stragglers from
  * overloaded replicas to idle ones between events.
  */
@@ -107,21 +107,15 @@ class Router
            RoutingPolicy policy = RoutingPolicy::kLeastTokens,
            MigrationOptions migration = {});
 
-    /** Advance all replicas to time `t` (lockstep drive; see class doc). */
-    void run_until(double t);
-
-    /** Route and submit one request at its arrival time. */
-    void submit(const RequestSpec& spec, RequestId id);
-
-    /** Drain all replicas. */
-    void drain();
-
     /**
      * Replay a full workload on the cluster core: arrivals, routing,
      * engine steps, and (when enabled) migrations interleave as events on
-     * one clock. Request ids are assigned by position. Bit-identical to
-     * the lockstep replay (`run_until` each arrival, `submit`, `drain`)
-     * when migration is disabled.
+     * one clock. Request ids are assigned by position in the
+     * arrival-sorted workload. Replicas keep their clocks and metrics
+     * across calls, so a closed-loop client may call this once per turn.
+     * Asserts conservation (submitted = completed + lost + shed + expired
+     * + cancelled) before returning, and fatal()s when a replica is left
+     * holding work its KV cache cannot admit.
      *
      * @return merged metrics across replicas.
      */
@@ -132,8 +126,7 @@ class Router
 
     /**
      * Install a fault-injection schedule and recovery policy for the next
-     * `run_workload` (the lockstep `run_until`/`submit`/`drain` path does
-     * not replay faults). The schedule is materialized against this
+     * `run_workload`. The schedule is materialized against this
      * router's replicas — rank addresses resolve to whole engines, so one
      * lost rank stalls its entire SP x TP group — and every fault becomes
      * an event on the replay's cluster timeline. With an empty schedule
@@ -177,7 +170,7 @@ class Router
 
     /**
      * @return lifecycle-outcome counters from the last `run_workload`.
-     * When any lifecycle feature was active, conservation holds:
+     * Conservation holds on every replay:
      * submitted = completed + lost + shed + expired + cancelled.
      */
     const OverloadStats& overload_stats() const { return overload_stats_; }
@@ -194,7 +187,7 @@ class Router
 
     /**
      * Publish routing decisions to `sink` (borrowed, may be null): each
-     * `submit` emits a `kRouted` lifecycle event under the chosen
+     * routed request emits a `kRouted` lifecycle event under the chosen
      * replica's trace id.
      */
     void set_trace(obs::TraceSink* sink) { trace_ = sink; }
@@ -223,10 +216,9 @@ class Router
     void rebalance(double t);
 
     /**
-     * Route one request at time `t` during a cluster replay: shed when
-     * the degraded-mode guard says so, otherwise submit to the selected
-     * replica, falling into the retry path when every replica is down.
-     * Identical to `submit` when no faults are configured.
+     * Route one arrival at time `t`: shed when the degraded-mode guard
+     * says so, otherwise submit to the selected replica, falling into the
+     * retry path when every replica is down.
      */
     void admit(const RequestSpec& spec, RequestId id, double t);
 
@@ -246,14 +238,14 @@ class Router
      */
     void schedule_retry(const RequestSpec& spec, RequestId id, double t);
 
-    /** @return true when the degraded-mode guard sheds this arrival. */
-    bool should_shed(double t) const;
+    /** @return true when the degraded-mode guard sheds an arrival now. */
+    bool should_shed() const;
 
     /** Publish a request lifecycle event on the router's trace. */
     void publish(obs::EngineId engine, RequestId id, obs::RequestPhase phase,
                  double t, std::int64_t tokens = 0) const;
 
-    // ---- Request lifecycle (deadlines / cancels / hedges / breakers) ----
+    // ---- Request lifecycle (outcomes / cancels / hedges / breakers) ----
 
     /** Terminal settlement of one logical request during a replay. */
     enum class FlightOutcome
@@ -293,15 +285,15 @@ class Router
     };
 
     /**
-     * Engine on_finish hook while lifecycle features are active.
+     * Engine on_finish hook: settle a finished copy's flight.
      * @return false when this finish is a duplicate copy of an
      * already-settled request (a losing hedge copy that completed before
      * its cancel event) and must not be recorded in metrics.
      */
-    bool on_lifecycle_finish(std::size_t idx, const Request& r);
+    bool settle_finished(std::size_t idx, const Request& r);
 
     /** Engine on_expire hook: settle an evicted copy's flight. */
-    void settle_expired(std::size_t idx, RequestId id, double t);
+    void settle_expired(RequestId id);
 
     /** Client abort of request `id` at time `t` (cancel-stream event). */
     void do_cancel(RequestId id, double t);
@@ -316,8 +308,7 @@ class Router
     /** Record a copy landing on replica `pick` (liveness + probe mark). */
     void note_submit(std::size_t pick, RequestId id);
 
-    /** Bump `shiftpar_request_outcome_total{outcome=...}` (lifecycle
-     *  paths only, so feature-off runs never touch the registry). */
+    /** Bump `shiftpar_request_outcome_total{outcome=...}`. */
     void count_outcome(const char* outcome, std::int64_t n = 1) const;
 
     /** Feed one completion into replica `idx`'s breaker; trip/close. */
@@ -361,9 +352,6 @@ class Router
     OverloadOptions overload_;
     std::vector<CancelEvent> cancels_;
     OverloadStats overload_stats_;
-    /** True while the current replay tracks flights (any deadline, a
-     *  cancel stream, hedging, or breakers). False = seed code path. */
-    bool lifecycle_active_ = false;
     std::vector<Flight> flights_;    ///< indexed by logical request id
     std::vector<Breaker> breakers_;  ///< one per replica when enabled
 };

@@ -1,5 +1,6 @@
 #include "hw/kernel_coeffs.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -64,23 +65,56 @@ load_calibrated_coeffs(const std::string& path)
         fatal("calibration report '" + path + "' is not valid JSON: " +
               e.what());
     }
+    // Every malformed field is fatal with the file and the key's path
+    // (`where` is the path prefix, e.g. "kernels[2].").
+    const auto fail = [&path](const std::string& what) {
+        fatal("calibration report '" + path + "': " + what);
+    };
+    const auto field = [&](const util::JsonValue& obj,
+                           const std::string& where,
+                           const std::string& key) -> const util::JsonValue& {
+        if (!obj.has(key))
+            fail("missing key '" + where + key + "'");
+        return obj.at(key);
+    };
+    const auto number = [&](const util::JsonValue& obj,
+                            const std::string& where, const std::string& key) {
+        const util::JsonValue& v = field(obj, where, key);
+        if (!v.is_number() || !std::isfinite(v.num()))
+            fail("key '" + where + key + "' must be a finite number");
+        return v.num();
+    };
+    const auto text = [&](const util::JsonValue& obj, const std::string& where,
+                          const std::string& key) -> const std::string& {
+        const util::JsonValue& v = field(obj, where, key);
+        if (!v.is_string())
+            fail("key '" + where + key + "' must be a string");
+        return v.str();
+    };
+
     if (!doc.is_object() || !doc.has("schema") ||
+        !doc.at("schema").is_string() ||
         doc.at("schema").str() != "shiftpar.calibration" ||
-        doc.at("version").num() != 1.0) {
+        number(doc, "", "version") != 1.0) {
         fatal("calibration report '" + path +
               "' is not a shiftpar.calibration v1 document");
     }
 
     KernelCoeffs c;
-    c.hardware = doc.has("hardware") ? doc.at("hardware").str() : "";
+    c.hardware = doc.has("hardware") ? text(doc, "", "hardware") : "";
+    const util::JsonValue& kernels = field(doc, "", "kernels");
+    if (!kernels.is_array())
+        fail("key 'kernels' must be an array");
     bool seen_gemm = false, seen_attn = false, seen_norm = false,
          seen_coll = false;
-    for (const util::JsonValue& fit : doc.at("kernels").arr()) {
+    for (std::size_t i = 0; i < kernels.arr().size(); ++i) {
+        const util::JsonValue& fit = kernels.arr()[i];
+        const std::string where = "kernels[" + std::to_string(i) + "].";
         KernelCoeff k;
-        k.alpha = fit.at("alpha").num();
-        k.beta = fit.at("beta").num();
-        k.gamma = fit.at("gamma").num();
-        const std::string& klass = fit.at("class").str();
+        k.alpha = number(fit, where, "alpha");
+        k.beta = number(fit, where, "beta");
+        k.gamma = number(fit, where, "gamma");
+        const std::string& klass = text(fit, where, "class");
         if (klass == "gemm") {
             c.gemm = k;
             seen_gemm = true;

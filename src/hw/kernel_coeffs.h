@@ -67,7 +67,8 @@ KernelCoeffs kernel_coeffs_preset(const std::string& name);
 /**
  * Load a coefficient table from a `shiftpar.calibration` v1 fit report
  * (the JSON `tools/calibrate` emits). fatal() on missing file, schema
- * mismatch, or absent kernel classes.
+ * mismatch, absent kernel classes, or a missing, mistyped or non-finite
+ * field; each error names the file and the key.
  */
 KernelCoeffs load_calibrated_coeffs(const std::string& path);
 

@@ -3,7 +3,7 @@
  * The discrete-event cluster loop: one clock for every engine, link, and
  * client event in a deployment.
  *
- * Replay used to be bespoke per driver — the router lockstep loop, the
+ * Replay used to be bespoke per driver — a router lockstep loop, the
  * two-phase disaggregated replay, hand-rolled bench drivers. `Cluster`
  * replaces them with one core: components (engines, links) report when
  * they can next act, clients post timed events (arrivals, KV handoffs,
@@ -14,9 +14,9 @@
  *
  * Determinism rules (see DESIGN.md "sim core" and §10):
  *  1. Events at equal times fire in posting order (FIFO).
- *  2. An event at time t fires before any component unit *starting* at t
- *     (matches the lockstep replay, where `run_until(t)` only ran steps
- *     starting strictly before the arrival it preceded).
+ *  2. An event at time t fires before any component unit *starting* at t:
+ *     an arrival at t is routed before any step that starts at t, so only
+ *     steps starting strictly before an arrival can miss it.
  *  3. Among components ready at the same instant, registration order wins.
  *  4. Stalled components (declared by `advance_to` returning false) are
  *     not re-polled until any event fires or any other component

@@ -89,9 +89,9 @@ class Component
     /**
      * Publish that this component's `next_event_time` may have changed
      * (see the ready-change contract above). No-op when the component is
-     * not registered with a cluster, so components that also run
-     * standalone (an engine under `run_until`/`drain`) call it
-     * unconditionally. Must not be called from inside this component's
+     * not registered with a cluster yet (e.g. an engine receiving work
+     * before `Cluster::add`), so components call it unconditionally.
+     * Must not be called from inside this component's
      * own `advance_to` — the cluster refreshes the advanced component
      * itself (enforced by shiftlint's sim-contract check).
      */

@@ -2,8 +2,8 @@
  * @file
  * Self-profiling for the discrete-event cluster core.
  *
- * ROADMAP item 1 makes the core's events/sec the repo's speed limit; this
- * is the instrument that measures it. A `ClusterProfile` is a borrowed
+ * This is the instrument that splits a replay's host time between the
+ * event loop and the components it drives. A `ClusterProfile` is a borrowed
  * accumulator a caller attaches to a `Cluster` before `run()`: the loop
  * then attributes host wall time to each component kind's `advance_to`,
  * counts fired events and event-callback time, and folds in the event

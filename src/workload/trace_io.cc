@@ -1,6 +1,8 @@
 #include "workload/trace_io.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -25,15 +27,49 @@ split_fields(const std::string& line)
     return fields;
 }
 
-double
-parse_double(const std::string& s, const std::string& path, int lineno)
+/** `path:lineno: ` — the prefix of every per-line error. */
+std::string
+where(const std::string& path, int lineno)
 {
+    return path + ":" + std::to_string(lineno) + ": ";
+}
+
+/**
+ * Parse a whole field as a finite number. Surrounding whitespace (a CRLF
+ * file's trailing '\r') is allowed; trailing garbage, nan and inf are
+ * fatal.
+ */
+double
+parse_number(const std::string& s, const std::string& path, int lineno)
+{
+    const char* begin = s.c_str();
     char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str())
-        fatal(path + ":" + std::to_string(lineno) + ": bad number '" + s +
-              "'");
+    const double v = std::strtod(begin, &end);
+    while (end != begin && std::isspace(static_cast<unsigned char>(*end)))
+        ++end;
+    if (end == begin || *end != '\0')
+        fatal(where(path, lineno) + "bad number '" + s + "'");
+    if (!std::isfinite(v))
+        fatal(where(path, lineno) + "non-finite number '" + s + "'");
     return v;
+}
+
+/**
+ * Parse a token count: an integral value in [1, 2^53], so the conversion
+ * to int64 is exact and defined.
+ */
+std::int64_t
+parse_tokens(const std::string& s, const std::string& path, int lineno)
+{
+    constexpr double kMaxTokens = 9007199254740992.0;  // 2^53
+    const double v = parse_number(s, path, lineno);
+    if (v != std::floor(v))
+        fatal(where(path, lineno) + "invalid request: token count '" + s +
+              "' is not an integer");
+    if (v < 1.0 || v > kMaxTokens)
+        fatal(where(path, lineno) + "invalid request: token count '" + s +
+              "' out of range [1, 2^53]");
+    return static_cast<std::int64_t>(v);
 }
 
 } // namespace
@@ -62,18 +98,15 @@ load_trace(const std::string& path)
             continue;
         const auto fields = split_fields(line);
         if (fields.size() != 3)
-            fatal(path + ":" + std::to_string(lineno) +
-                  ": expected 3 fields, got " +
+            fatal(where(path, lineno) + "expected 3 fields, got " +
                   std::to_string(fields.size()));
         engine::RequestSpec r;
-        r.arrival = parse_double(fields[0], path, lineno);
-        r.prompt_tokens =
-            static_cast<std::int64_t>(parse_double(fields[1], path, lineno));
-        r.output_tokens =
-            static_cast<std::int64_t>(parse_double(fields[2], path, lineno));
-        if (r.arrival < 0.0 || r.prompt_tokens < 1 || r.output_tokens < 1)
-            fatal(path + ":" + std::to_string(lineno) +
-                  ": invalid request (arrival >= 0, tokens >= 1 required)");
+        r.arrival = parse_number(fields[0], path, lineno);
+        if (r.arrival < 0.0)
+            fatal(where(path, lineno) +
+                  "invalid request (arrival >= 0 required)");
+        r.prompt_tokens = parse_tokens(fields[1], path, lineno);
+        r.output_tokens = parse_tokens(fields[2], path, lineno);
         reqs.push_back(r);
     }
     std::stable_sort(reqs.begin(), reqs.end(),

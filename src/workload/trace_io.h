@@ -24,9 +24,10 @@ namespace shiftpar::workload {
 /**
  * Load a trace CSV.
  *
- * Lines are validated (non-negative arrival, positive token counts);
- * malformed input is fatal with a line number. Requests are returned
- * sorted by arrival.
+ * Lines are validated: the arrival must be a finite number >= 0 and the
+ * token counts integers in [1, 2^53], each field parsed whole (trailing
+ * garbage is an error). Malformed input is fatal with `file:line`.
+ * Requests are returned sorted by arrival.
  */
 std::vector<engine::RequestSpec> load_trace(const std::string& path);
 

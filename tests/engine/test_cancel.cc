@@ -9,6 +9,7 @@ namespace shiftpar::engine {
 namespace {
 
 using shiftpar::testing::make_engine;
+using shiftpar::testing::run_on_cluster;
 using shiftpar::testing::tiny_model;
 using shiftpar::testing::tp8_engine_config;
 
@@ -20,7 +21,7 @@ TEST(Cancel, WaitingRequestRemoved)
     e->submit({0.0, 5000, 50}, 1);
     e->submit({0.0, 5000, 50}, 2);  // queued behind request 1
     EXPECT_TRUE(e->cancel(2));
-    e->drain();
+    run_on_cluster(*e);
     EXPECT_EQ(e->metrics().requests().size(), 1u);
     EXPECT_EQ(e->metrics().requests()[0].id, 1);
     EXPECT_EQ(e->cancelled_count(), 1);
@@ -30,10 +31,11 @@ TEST(Cancel, RunningRequestReleasesCache)
 {
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit({0.0, 1000, 1000}, 1);
-    e->run_until(0.05);  // mid-decode
-    ASSERT_TRUE(e->has_work());
-    EXPECT_GT(e->cache().num_requests(), 0u);
-    EXPECT_TRUE(e->cancel(1));
+    run_on_cluster(*e, {{0.05, [&] {  // mid-decode
+                             ASSERT_TRUE(e->has_work());
+                             EXPECT_GT(e->cache().num_requests(), 0u);
+                             EXPECT_TRUE(e->cancel(1));
+                         }}});
     EXPECT_EQ(e->cache().num_requests(), 0u);
     EXPECT_FALSE(e->has_work());
     EXPECT_EQ(e->metrics().requests().size(), 0u);
@@ -43,7 +45,7 @@ TEST(Cancel, UnknownOrFinishedRequestsReturnFalse)
 {
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit({0.0, 100, 2}, 1);
-    e->drain();
+    run_on_cluster(*e);
     EXPECT_FALSE(e->cancel(1));   // already finished
     EXPECT_FALSE(e->cancel(99));  // never existed
     EXPECT_EQ(e->cancelled_count(), 0);
@@ -63,10 +65,10 @@ TEST(Cancel, OtherRequestsUnaffected)
     auto e = make_engine(tiny_model(), tp8_engine_config());
     for (int i = 0; i < 10; ++i)
         e->submit({0.0, 500, 20}, i);
-    e->run_until(0.02);
-    EXPECT_TRUE(e->cancel(3));
-    EXPECT_TRUE(e->cancel(7));
-    e->drain();
+    run_on_cluster(*e, {{0.02, [&] {
+                             EXPECT_TRUE(e->cancel(3));
+                             EXPECT_TRUE(e->cancel(7));
+                         }}});
     EXPECT_EQ(e->metrics().requests().size(), 8u);
     for (const auto& rec : e->metrics().requests()) {
         EXPECT_NE(rec.id, 3);
@@ -89,7 +91,7 @@ TEST(Cancel, MigratedAwayRequestIsRejectedWithoutCrashing)
     EXPECT_EQ(stolen->second, 2);
     EXPECT_FALSE(e->cancel(2));
     EXPECT_EQ(e->cancelled_count(), 0);
-    e->drain();
+    run_on_cluster(*e);
     EXPECT_EQ(e->metrics().requests().size(), 1u);
 }
 
@@ -97,9 +99,9 @@ TEST(Cancel, StealSkipsRequestsWithProgress)
 {
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit({0.0, 1000, 100}, 1);
-    e->run_until(0.05);  // request 1 is running: nothing stealable
-    EXPECT_FALSE(e->steal_waiting().has_value());
-    e->drain();
+    run_on_cluster(*e, {{0.05, [&] {  // request 1 is running
+                             EXPECT_FALSE(e->steal_waiting().has_value());
+                         }}});
     EXPECT_EQ(e->metrics().requests().size(), 1u);
 }
 
@@ -109,10 +111,11 @@ TEST(Cancel, PrefilledRequestReleasesKvOnCancel)
     // without compute; cancelling it mid-decode must release that KV.
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit_prefilled({0.0, 4096, 64}, 1);
-    e->run_until(0.01);  // mid-decode
-    ASSERT_TRUE(e->has_work());
-    EXPECT_GT(e->cache().num_requests(), 0u);
-    EXPECT_TRUE(e->cancel(1));
+    run_on_cluster(*e, {{0.01, [&] {  // mid-decode
+                             ASSERT_TRUE(e->has_work());
+                             EXPECT_GT(e->cache().num_requests(), 0u);
+                             EXPECT_TRUE(e->cancel(1));
+                         }}});
     EXPECT_EQ(e->cache().num_requests(), 0u);
     EXPECT_FALSE(e->has_work());
     EXPECT_EQ(e->metrics().requests().size(), 0u);
@@ -128,7 +131,7 @@ TEST(Cancel, WaitingPrefilledRequestCancelsCleanly)
     e->submit_prefilled({0.0, 4096, 64}, 1);
     e->submit_prefilled({0.0, 4096, 64}, 2);  // queued behind request 1
     EXPECT_TRUE(e->cancel(2));
-    e->drain();
+    run_on_cluster(*e);
     EXPECT_EQ(e->metrics().requests().size(), 1u);
     EXPECT_EQ(e->metrics().requests()[0].id, 1);
 }

@@ -11,6 +11,7 @@ namespace shiftpar::engine {
 namespace {
 
 using shiftpar::testing::make_engine;
+using shiftpar::testing::run_on_cluster;
 using shiftpar::testing::test_node;
 using shiftpar::testing::tiny_model;
 using shiftpar::testing::tp8_engine_config;
@@ -20,7 +21,7 @@ TEST(Engine, SingleRequestLifecycle)
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit({0.0, 1000, 10}, 1);
     EXPECT_TRUE(e->has_work());
-    e->drain();
+    run_on_cluster(*e);
     EXPECT_FALSE(e->has_work());
 
     const auto& reqs = e->metrics().requests();
@@ -40,7 +41,7 @@ TEST(Engine, TtftMatchesPerfModelPrediction)
     cfg.sched.max_batched_tokens = 1 << 20;  // single-chunk prefill
     auto e = make_engine(m, cfg);
     e->submit({0.0, 2048, 2}, 1);
-    e->drain();
+    run_on_cluster(*e);
 
     const parallel::PerfModel perf(test_node(), m, cfg.perf);
     const double expected = perf.prefill_time(2048, cfg.base);
@@ -54,7 +55,7 @@ TEST(Engine, TpotMatchesDecodeStepTime)
     auto e = make_engine(m, cfg);
     const std::int64_t out = 11;
     e->submit({0.0, 256, out}, 1);
-    e->drain();
+    run_on_cluster(*e);
 
     // With one lone request every decode step is batch 1; TPOT should be
     // within the range of the per-step decode times (context grows).
@@ -70,8 +71,7 @@ TEST(Engine, ArrivalDelayIsRespected)
 {
     auto e = make_engine(tiny_model(), tp8_engine_config());
     e->submit({5.0, 100, 2}, 1);
-    e->run_until(5.0);
-    e->drain();
+    run_on_cluster(*e);
     const auto& rec = e->metrics().requests()[0];
     // Wait should be ~zero: the engine was idle when it arrived.
     EXPECT_NEAR(rec.wait, 0.0, 1e-9);
@@ -84,7 +84,7 @@ TEST(Engine, QueueingShowsUpInWait)
     auto e = make_engine(tiny_model(), cfg);
     e->submit({0.0, 5000, 50}, 1);
     e->submit({0.0, 5000, 50}, 2);
-    e->drain();
+    run_on_cluster(*e);
     const auto& reqs = e->metrics().requests();
     ASSERT_EQ(reqs.size(), 2u);
     // The second-served request queued behind the whole first request.
@@ -98,8 +98,7 @@ TEST(Engine, AllSubmittedRequestsFinishExactlyOnce)
     const int n = 40;
     for (int i = 0; i < n; ++i)
         e->submit({0.01 * i, 200 + 13 * i, 5 + i % 7}, i);
-    e->run_until(1.0);
-    e->drain();
+    run_on_cluster(*e);
     EXPECT_EQ(e->metrics().requests().size(), static_cast<std::size_t>(n));
     // Token conservation: every prompt token and every output token except
     // the final sampled one (which never re-enters the model) is processed
@@ -115,7 +114,7 @@ TEST(Engine, StepRecordsAreTimeOrderedAndConsistent)
     auto e = make_engine(tiny_model(), tp8_engine_config());
     for (int i = 0; i < 10; ++i)
         e->submit({0.0, 300, 8}, i);
-    e->drain();
+    run_on_cluster(*e);
     double prev_end = 0.0;
     for (const auto& s : e->metrics().steps()) {
         EXPECT_GE(s.start, prev_end - 1e-12);
@@ -175,9 +174,7 @@ TEST(Router, RoundRobinSpreadsRequests)
     for (int i = 0; i < 4; ++i)
         engines.push_back(make_engine(tiny_model(), cfg));
     Router router(std::move(engines), RoutingPolicy::kRoundRobin);
-    for (int i = 0; i < 8; ++i)
-        router.submit({0.0, 100, 2}, i);
-    router.drain();
+    router.run_workload(std::vector<RequestSpec>(8, {0.0, 100, 2}));
     for (std::size_t i = 0; i < router.size(); ++i)
         EXPECT_EQ(router.engine(i).metrics().requests().size(), 2u);
 }
@@ -190,10 +187,11 @@ TEST(Router, LeastTokensBalancesUnevenLoad)
     for (int i = 0; i < 2; ++i)
         engines.push_back(make_engine(tiny_model(), cfg));
     Router router(std::move(engines), RoutingPolicy::kLeastTokens);
-    router.submit({0.0, 10000, 100}, 0);  // heavy -> replica 0
-    router.submit({0.0, 100, 2}, 1);      // light -> replica 1
-    router.submit({0.0, 100, 2}, 2);      // replica 1 still lighter
-    router.drain();
+    router.run_workload({
+        {0.0, 10000, 100},  // heavy -> replica 0
+        {0.0, 100, 2},      // light -> replica 1
+        {0.0, 100, 2},      // replica 1 still lighter
+    });
     EXPECT_EQ(router.engine(0).metrics().requests().size(), 1u);
     EXPECT_EQ(router.engine(1).metrics().requests().size(), 2u);
 }

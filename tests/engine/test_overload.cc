@@ -3,14 +3,17 @@
  * Tests for the overload-robust request lifecycle: per-request deadlines,
  * client cancellation streams, hedged retries, per-replica circuit
  * breakers, and graceful drain — plus the conservation invariant
- * (submitted = completed + lost + shed + expired + cancelled) and the
- * promise that every feature is bit-identical to the seed replay when
- * switched off.
+ * (submitted = completed + lost + shed + expired + cancelled), which
+ * holds on every replay, and the promise that every feature leaves
+ * results unchanged when switched off.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/test_helpers.h"
@@ -24,6 +27,7 @@ namespace {
 
 using fault::parse_fault_spec;
 using shiftpar::testing::make_engine;
+using shiftpar::testing::run_on_cluster;
 using shiftpar::testing::tiny_model;
 
 /**
@@ -98,7 +102,7 @@ TEST(Deadline, GenerousDeadlinesReplayBitIdenticalToPlain)
 
     auto stamped = reqs;
     workload::LifecycleOptions lc;
-    lc.deadline = 1e6;  // lifecycle tracking on, but nothing ever expires
+    lc.deadline = 1e6;  // deadlines armed, but nothing ever expires
     workload::apply_deadlines(&stamped, lc);
     Router armed(replicas(2));
     const auto b = armed.run_workload(stamped);
@@ -179,7 +183,7 @@ TEST(CancelStream, AbortOfAnExpiredDeadCopyIsRejectedNotFatal)
     RequestSpec doomed{0.0, 512, 512};
     doomed.deadline = 1e-6;  // expires long before 512 output tokens
     e.submit(doomed, 0);
-    e.drain();
+    run_on_cluster(e);
     EXPECT_EQ(e.expired_count(), 1);
     EXPECT_EQ(e.metrics().requests().size(), 0u);
     EXPECT_FALSE(e.cancel(0));
@@ -375,18 +379,36 @@ TEST(Lifecycle, FullStackReplayIsDeterministic)
     }
 }
 
-TEST(Lifecycle, OutcomeCountersReachTheRegistryOnlyWhenActive)
+/** @return the `shiftpar_request_outcome_total` series of `reg`. */
+std::map<std::string, std::int64_t>
+outcome_counters(const obs::MetricsRegistry& reg)
+{
+    std::map<std::string, std::int64_t> out;
+    for (const auto& c : reg.snapshot().counters) {
+        if (c.name != "shiftpar_request_outcome_total")
+            continue;
+        for (const auto& [k, v] : c.labels) {
+            if (k == "outcome")
+                out[v] += c.value;
+        }
+    }
+    return out;
+}
+
+TEST(Lifecycle, OutcomeCountersReachTheRegistryOnEveryReplay)
 {
     obs::MetricsRegistry reg;
     obs::MetricsRegistry* prev =
         obs::MetricsRegistry::set_thread_override(&reg);
 
-    // Feature-off replay: the registry must stay untouched.
+    // Plain replay: every request settles as completed.
     {
         Router plain(replicas(1));
         plain.run_workload(steady_arrivals(10));
+        EXPECT_EQ(plain.overload_stats().completed, 10);
     }
-    EXPECT_TRUE(reg.empty());
+    EXPECT_EQ(outcome_counters(reg),
+              (std::map<std::string, std::int64_t>{{"completed", 10}}));
 
     // Lifecycle replay: every outcome lands in the labeled counter.
     {
@@ -397,21 +419,91 @@ TEST(Lifecycle, OutcomeCountersReachTheRegistryOnlyWhenActive)
         EXPECT_EQ(router.overload_stats().cancelled, 2);
     }
     std::int64_t total = 0;
-    std::int64_t cancelled = 0;
-    for (const auto& c : reg.snapshot().counters) {
-        if (c.name != "shiftpar_request_outcome_total")
-            continue;
-        total += c.value;
-        for (const auto& [k, v] : c.labels) {
-            if (k == "outcome" && v == "cancelled")
-                cancelled = c.value;
-        }
-    }
-    EXPECT_EQ(total, 20);  // completed + cancelled, one bump per request
-    EXPECT_EQ(cancelled, 2);
+    for (const auto& [outcome, n] : outcome_counters(reg))
+        total += n;
+    EXPECT_EQ(total, 30);  // completed + cancelled, one bump per request
+    EXPECT_EQ(outcome_counters(reg)["cancelled"], 2);
 
     obs::MetricsRegistry::set_thread_override(prev);
 }
+
+/** One replay shape for the conservation sweep. */
+struct ConservationCase
+{
+    const char* name;
+    std::function<std::unique_ptr<Router>()> build;
+    /** @return true when the case's feature actually fired. */
+    std::function<bool(const Router&)> exercised;
+};
+
+std::vector<ConservationCase>
+conservation_cases()
+{
+    const auto faulted = [](const char* spec, ResilienceOptions res = {}) {
+        return [spec, res] {
+            auto r = std::make_unique<Router>(replicas(2, /*max_running=*/1),
+                                              RoutingPolicy::kRoundRobin);
+            r->set_faults(parse_fault_spec(spec), res);
+            return r;
+        };
+    };
+    ResilienceOptions shedding;
+    shedding.shed_watermark = 0.9;  // one of two replicas down sheds
+    return {
+        {"Plain", [] { return std::make_unique<Router>(replicas(2)); },
+         [](const Router&) { return true; }},
+        {"Migration",
+         [] {
+             MigrationOptions mig;
+             mig.enabled = true;
+             mig.min_token_imbalance = 256;
+             return std::make_unique<Router>(replicas(2, /*max_running=*/1),
+                                             RoutingPolicy::kRoundRobin,
+                                             mig);
+         },
+         [](const Router& r) { return r.migration_count() > 0; }},
+        {"FailFault", faulted("fail:engine=0,at=0.05,recover=0.5"),
+         [](const Router& r) { return r.fault_stats().dropped > 0; }},
+        {"DrainFault", faulted("drain:engine=0,at=0.05,resume=0.5"),
+         [](const Router& r) { return r.overload_stats().drained > 0; }},
+        {"Shedding", faulted("fail:engine=0,at=0.05", shedding),
+         [](const Router& r) { return r.fault_stats().shed > 0; }},
+    };
+}
+
+void
+PrintTo(const ConservationCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+class Conservation : public ::testing::TestWithParam<ConservationCase>
+{
+};
+
+TEST_P(Conservation, EveryRequestSettlesExactlyOnce)
+{
+    obs::MetricsRegistry reg;
+    obs::MetricsRegistry* prev =
+        obs::MetricsRegistry::set_thread_override(&reg);
+    const auto reqs = steady_arrivals(40, 0.005);
+    auto router = GetParam().build();
+    router->run_workload(reqs);
+    obs::MetricsRegistry::set_thread_override(prev);
+
+    EXPECT_TRUE(GetParam().exercised(*router));
+    EXPECT_EQ(settled(*router), static_cast<std::int64_t>(reqs.size()));
+    std::int64_t counted = 0;
+    for (const auto& [outcome, n] : outcome_counters(reg))
+        counted += n;
+    EXPECT_EQ(counted, static_cast<std::int64_t>(reqs.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Replays, Conservation, ::testing::ValuesIn(conservation_cases()),
+    [](const ::testing::TestParamInfo<ConservationCase>& info) {
+        return std::string(info.param.name);
+    });
 
 // --------------------------------------------- client-side stream synthesis
 

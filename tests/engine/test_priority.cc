@@ -9,6 +9,7 @@ namespace shiftpar::engine {
 namespace {
 
 using shiftpar::testing::make_engine;
+using shiftpar::testing::run_on_cluster;
 using shiftpar::testing::tiny_model;
 using shiftpar::testing::tp8_engine_config;
 
@@ -23,7 +24,7 @@ TEST(Priority, HigherClassAdmittedFirst)
     interactive.priority = 1;
     e->submit(batch, 1);
     e->submit(interactive, 2);
-    e->drain();
+    run_on_cluster(*e);
     const auto& recs = e->metrics().requests();
     ASSERT_EQ(recs.size(), 2u);
     // The interactive request finished first despite later submission.
@@ -38,7 +39,7 @@ TEST(Priority, FcfsWithinClass)
     auto e = make_engine(tiny_model(), cfg);
     for (int i = 0; i < 3; ++i)
         e->submit({0.0, 1000, 5}, i);
-    e->drain();
+    run_on_cluster(*e);
     const auto& recs = e->metrics().requests();
     ASSERT_EQ(recs.size(), 3u);
     EXPECT_EQ(recs[0].id, 0);
@@ -64,7 +65,7 @@ TEST(Priority, InteractiveTtftImprovesUnderLoad)
             interactive_ids.push_back(id);
             e->submit(r, id++);
         }
-        e->drain();
+        run_on_cluster(*e);
         for (const auto& rec : e->metrics().requests()) {
             if (std::find(interactive_ids.begin(), interactive_ids.end(),
                           rec.id) != interactive_ids.end())
@@ -84,12 +85,13 @@ TEST(Priority, ArrivedLowClassNotBlockedByFutureHighClass)
     future_vip.priority = 9;
     e->submit(future_vip, 1);
     e->submit({0.0, 500, 5}, 2);  // arrived, low class
-    e->run_until(1.0);
-    // The low-class request must already be past scheduling.
-    ASSERT_GE(e->metrics().requests().size() +
-                  (e->has_work() ? 1u : 0u),
-              1u);
-    e->drain();
+    run_on_cluster(*e, {{1.0, [&] {
+                             // The low-class request must already be
+                             // past scheduling.
+                             ASSERT_GE(e->metrics().requests().size() +
+                                           (e->has_work() ? 1u : 0u),
+                                       1u);
+                         }}});
     const auto& recs = e->metrics().requests();
     ASSERT_EQ(recs.size(), 2u);
     for (const auto& rec : recs) {
@@ -109,7 +111,7 @@ TEST(Priority, PreemptedRequestRejoinsFrontOfItsClass)
     // tiny_model KV capacity is large; shrink working set via many seqs.
     for (int i = 0; i < 6; ++i)
         e->submit({0.0, 2000, 30}, i);
-    e->drain();
+    run_on_cluster(*e);
     EXPECT_EQ(e->metrics().requests().size(), 6u);
 }
 

@@ -285,6 +285,7 @@ TEST(CostModelEquivalence, RooflineBreakdownReportsPseudoKernels)
 TEST(CostModelEquivalence, CostMetricsDoNotPerturbEngineTimings)
 {
     using shiftpar::testing::make_engine;
+    using shiftpar::testing::run_on_cluster;
     using shiftpar::testing::tiny_model;
     using shiftpar::testing::tp8_engine_config;
 
@@ -296,7 +297,7 @@ TEST(CostModelEquivalence, CostMetricsDoNotPerturbEngineTimings)
         auto e = make_engine(tiny_model(), cfg);
         e->submit({0.0, 2048, 16}, 1);
         e->submit({0.5, 512, 64}, 2);
-        e->drain();
+        run_on_cluster(*e);
         obs::MetricsRegistry::set_thread_override(prev);
         return e->metrics().requests();
     };

@@ -240,5 +240,116 @@ TEST(Calibrate, ClassesAreFitIndependently)
     EXPECT_NEAR(report.fits[0].beta, 7e-12, 1e-18);
 }
 
+/** One malformed calibration document and the error it must produce. */
+struct BadCalibration
+{
+    const char* name;
+    std::string json;
+    const char* error;  ///< regex: the key named in the fatal message
+};
+
+/** A `kernels` entry; `skip` drops a field, `override` replaces one. */
+std::string
+fit_json(const std::string& klass, const std::string& skip = "",
+         const std::string& override_key = "",
+         const std::string& override_value = "")
+{
+    std::string out = "{";
+    const char* keys[] = {"class", "alpha", "beta", "gamma"};
+    bool first = true;
+    for (const char* k : keys) {
+        if (skip == k)
+            continue;
+        std::string value = std::string(k) == "class"
+                                 ? "\"" + klass + "\""
+                                 : std::string("1e-6");
+        if (override_key == k)
+            value = override_value;
+        out += (first ? "\"" : ", \"") + std::string(k) + "\": " + value;
+        first = false;
+    }
+    return out + "}";
+}
+
+std::string
+calibration_json(const std::string& header, const std::vector<std::string>& fits)
+{
+    std::string kernels;
+    for (std::size_t i = 0; i < fits.size(); ++i)
+        kernels += (i ? ", " : "") + fits[i];
+    return "{\"schema\": \"shiftpar.calibration\"" + header +
+           ", \"kernels\": [" + kernels + "]}";
+}
+
+std::vector<BadCalibration>
+bad_calibrations()
+{
+    const std::vector<std::string> good = {
+        fit_json("gemm"), fit_json("attention"), fit_json("norm"),
+        fit_json("collective")};
+    auto with = [&](std::size_t i, const std::string& fit) {
+        auto fits = good;
+        fits[i] = fit;
+        return calibration_json(", \"version\": 1", fits);
+    };
+    return {
+        {"MissingVersion", calibration_json("", good),
+         "missing key 'version'"},
+        {"MistypedVersion", calibration_json(", \"version\": \"1\"", good),
+         "key 'version' must be a finite number"},
+        {"MissingKernels",
+         "{\"schema\": \"shiftpar.calibration\", \"version\": 1}",
+         "missing key 'kernels'"},
+        {"KernelsNotAnArray",
+         "{\"schema\": \"shiftpar.calibration\", \"version\": 1, "
+         "\"kernels\": {}}",
+         "key 'kernels' must be an array"},
+        {"MissingClass", with(2, fit_json("norm", "class")),
+         "missing key 'kernels\\[2\\]\\.class'"},
+        {"MistypedClass", with(0, fit_json("gemm", "", "class", "7")),
+         "key 'kernels\\[0\\]\\.class' must be a string"},
+        {"MissingAlpha", with(1, fit_json("attention", "alpha")),
+         "missing key 'kernels\\[1\\]\\.alpha'"},
+        {"MistypedBeta", with(0, fit_json("gemm", "", "beta", "\"x\"")),
+         "key 'kernels\\[0\\]\\.beta' must be a finite number"},
+        {"MissingGamma", with(3, fit_json("collective", "gamma")),
+         "missing key 'kernels\\[3\\]\\.gamma'"},
+        {"NonFiniteGamma", with(3, fit_json("collective", "", "gamma", "1e999")),
+         "key 'kernels\\[3\\]\\.gamma' must be a finite number"},
+    };
+}
+
+void
+PrintTo(const BadCalibration& bad, std::ostream* os)
+{
+    *os << bad.name;
+}
+
+class CalibrationBoundary : public ::testing::TestWithParam<BadCalibration>
+{
+};
+
+TEST_P(CalibrationBoundary, FatalNamesFileAndKey)
+{
+    const BadCalibration& bad = GetParam();
+    const std::string path = ::testing::TempDir() + "bad_calibration_" +
+                             bad.name + ".json";
+    {
+        std::ofstream os(path);
+        ASSERT_TRUE(os.good());
+        os << bad.json;
+    }
+    EXPECT_DEATH(hw::load_calibrated_coeffs(path),
+                 std::string("bad_calibration_") + bad.name +
+                     "\\.json': " + bad.error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LoadCalibratedCoeffs, CalibrationBoundary,
+    ::testing::ValuesIn(bad_calibrations()),
+    [](const ::testing::TestParamInfo<BadCalibration>& info) {
+        return std::string(info.param.name);
+    });
+
 } // namespace
 } // namespace shiftpar::calibrate

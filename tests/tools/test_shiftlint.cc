@@ -611,19 +611,19 @@ TEST(ShiftlintInterproc, MutationReachedAcrossTusFlagged)
         {{"src/engine/a.cc", R"(
 bool Engine::advance_to(double t)
 {
-    drain_queue(t);
+    flush_queue(t);
     return true;
 }
 )"},
          {"src/engine/b.cc", R"(
-void Engine::drain_queue(double t)
+void Engine::flush_queue(double t)
 {
     cluster_->post(t, [] {});
 }
 )"}});
     const auto findings = run_one(corpus, "sim-contract-interproc");
     ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("Engine::drain_queue"),
+    EXPECT_NE(findings[0].message.find("Engine::flush_queue"),
               std::string::npos);
 }
 

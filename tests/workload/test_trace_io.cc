@@ -111,6 +111,68 @@ TEST_F(TraceIoTest, InvalidRequestIsFatal)
     EXPECT_DEATH(load_trace(path), "invalid request");
 }
 
+TEST_F(TraceIoTest, NanArrivalIsFatalWithLine)
+{
+    const auto path = write_file(
+        "arrival_s,prompt_tokens,output_tokens\n"
+        "0.5,10,2\n"
+        "nan,10,2\n");
+    EXPECT_DEATH(load_trace(path), "trace.csv:3: non-finite number 'nan'");
+}
+
+TEST_F(TraceIoTest, InfArrivalIsFatalWithLine)
+{
+    // An infinite arrival would never be served, yet the replay would
+    // still report full attainment over the requests that did finish.
+    const auto path = write_file(
+        "arrival_s,prompt_tokens,output_tokens\n"
+        "inf,10,2\n");
+    EXPECT_DEATH(load_trace(path), "trace.csv:2: non-finite number 'inf'");
+}
+
+TEST_F(TraceIoTest, TrailingGarbageIsFatalWithLine)
+{
+    const auto path = write_file(
+        "arrival_s,prompt_tokens,output_tokens\n"
+        "0.5abc,10,2\n");
+    EXPECT_DEATH(load_trace(path), "trace.csv:2: bad number '0.5abc'");
+    const auto tokens = write_file(
+        "arrival_s,prompt_tokens,output_tokens\n"
+        "0.5,10x,2\n");
+    EXPECT_DEATH(load_trace(tokens), "trace.csv:2: bad number '10x'");
+}
+
+TEST_F(TraceIoTest, NonIntegralTokenCountIsFatalWithLine)
+{
+    const auto path = write_file(
+        "arrival_s,prompt_tokens,output_tokens\n"
+        "0.5,10,2.5\n");
+    EXPECT_DEATH(load_trace(path),
+                 "trace.csv:2: invalid request: token count '2.5' is not "
+                 "an integer");
+}
+
+TEST_F(TraceIoTest, OutOfRangeTokenCountIsFatalWithLine)
+{
+    const auto path = write_file(
+        "arrival_s,prompt_tokens,output_tokens\n"
+        "0.5,1e30,2\n");
+    EXPECT_DEATH(load_trace(path),
+                 "trace.csv:2: invalid request: token count '1e30' out of "
+                 "range");
+}
+
+TEST_F(TraceIoTest, CrlfLineEndingsAndIntegralFloatsStillLoad)
+{
+    const auto path = write_file(
+        "arrival_s,prompt_tokens,output_tokens\r\n"
+        "0.5,4096.0,250\r\n");
+    const auto reqs = load_trace(path);
+    ASSERT_EQ(reqs.size(), 1u);
+    EXPECT_EQ(reqs[0].prompt_tokens, 4096);
+    EXPECT_EQ(reqs[0].output_tokens, 250);
+}
+
 TEST_F(TraceIoTest, SaveLoadRoundTrip)
 {
     Rng rng(5);
