@@ -14,6 +14,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "core/autotuner.h"
 #include "model/presets.h"
@@ -42,6 +43,14 @@ main(int argc, char** argv)
     args.add_int("seed", 7, "workload seed");
     if (!args.parse(argc, argv))
         return 0;
+    for (const char* flag : {"rate", "duration"}) {
+        if (!(args.get_double(flag) > 0.0))
+            fatal(std::string("flag --") + flag + " must be positive");
+    }
+    for (const char* flag : {"prompt", "output"}) {
+        if (!(args.get_double(flag) >= 1.0))
+            fatal(std::string("flag --") + flag + " must be at least 1");
+    }
 
     model::ModelConfig model;
     bool found = false;
@@ -61,6 +70,8 @@ main(int argc, char** argv)
         rng,
         workload::lognormal_size(args.get_double("prompt"), 0.7,
                                  args.get_double("output"), 0.5));
+    if (sample.empty())
+        fatal("flags --rate x --duration sampled no requests; raise either");
 
     core::TuneObjective objective;
     objective.completion = args.get_double("completion-weight");

@@ -62,6 +62,8 @@ main(int argc, char** argv)
     if (!args.get_string("trace").empty()) {
         reqs = workload::load_trace(args.get_string("trace"));
     } else {
+        if (!(args.get_double("duration") > 0.0))
+            fatal("flag --duration must be positive");
         Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
         if (args.get_string("synthetic") == "azure") {
             workload::AzureTraceOptions opts;

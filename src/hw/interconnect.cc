@@ -19,13 +19,8 @@ CollectiveModel::all_reduce(double bytes, int nranks) const
     SP_ASSERT(bytes >= 0.0 && nranks >= 1);
     if (nranks == 1)
         return 0.0;
-    const double p = static_cast<double>(nranks);
-    const double vol = all_reduce_volume(bytes, nranks);
-    // Ring: 2(P-1) latency steps. Switch fabric: reduce-scatter + all-gather,
-    // two phases of simultaneous exchange.
-    const double steps =
-        link_.kind == FabricKind::kRing ? 2.0 * (p - 1.0) : 2.0;
-    return vol / link_.effective_bw() + steps * link_.latency;
+    return all_reduce_volume(bytes, nranks) / link_.effective_bw() +
+           all_reduce_phases(link_.kind, nranks) * link_.latency;
 }
 
 double
@@ -34,17 +29,8 @@ CollectiveModel::all_gather(double bytes, int nranks) const
     SP_ASSERT(bytes >= 0.0 && nranks >= 1);
     if (nranks == 1)
         return 0.0;
-    const double p = static_cast<double>(nranks);
-    const double vol = all_gather_volume(bytes, nranks);
-    const double steps = link_.kind == FabricKind::kRing ? (p - 1.0) : 1.0;
-    return vol / link_.effective_bw() + steps * link_.latency;
-}
-
-double
-CollectiveModel::reduce_scatter(double bytes, int nranks) const
-{
-    // Symmetric to all-gather in both volume and steps.
-    return all_gather(bytes, nranks);
+    return all_gather_volume(bytes, nranks) / link_.effective_bw() +
+           exchange_phases(link_.kind, nranks) * link_.latency;
 }
 
 double
@@ -53,12 +39,8 @@ CollectiveModel::all_to_all(double bytes, int nranks) const
     SP_ASSERT(bytes >= 0.0 && nranks >= 1);
     if (nranks == 1)
         return 0.0;
-    const double p = static_cast<double>(nranks);
-    const double vol = all_to_all_volume(bytes, nranks);
-    // On a switch all pairwise exchanges proceed simultaneously (one phase);
-    // a ring serializes P-1 neighbor rounds.
-    const double steps = link_.kind == FabricKind::kRing ? (p - 1.0) : 1.0;
-    return vol / link_.effective_bw() + steps * link_.latency;
+    return all_to_all_volume(bytes, nranks) / link_.effective_bw() +
+           exchange_phases(link_.kind, nranks) * link_.latency;
 }
 
 double
@@ -88,6 +70,18 @@ CollectiveModel::all_gather_volume(double bytes, int nranks)
     return (p - 1.0) / p * bytes;
 }
 
+double
+CollectiveModel::all_reduce_phases(FabricKind kind, int nranks)
+{
+    return kind == FabricKind::kRing ? 2.0 * (nranks - 1.0) : 2.0;
+}
+
+double
+CollectiveModel::exchange_phases(FabricKind kind, int nranks)
+{
+    return kind == FabricKind::kRing ? nranks - 1.0 : 1.0;
+}
+
 LinkChannel::LinkChannel(LinkSpec link)
     : link_(std::move(link))
 {
@@ -99,17 +93,7 @@ double
 LinkChannel::occupancy(double bytes) const
 {
     SP_ASSERT(bytes >= 0.0);
-    if (rate_multiplier_ != 1.0)
-        return bytes * rate_multiplier_ / link_.effective_bw() +
-               link_.latency;
     return bytes / link_.effective_bw() + link_.latency;
-}
-
-void
-LinkChannel::set_rate_multiplier(double factor)
-{
-    SP_ASSERT(factor >= 1.0, "link degradation cannot speed the link up");
-    rate_multiplier_ = factor;
 }
 
 double

@@ -53,11 +53,10 @@ struct LinkSpec
  * Alpha-beta timing for NCCL-style collectives over a rank group.
  *
  * Byte-size conventions (matching NCCL's count semantics):
- *  - all_reduce:     `bytes` = size of the (replicated) tensor on each rank.
- *  - all_gather:     `bytes` = size of the *gathered result* on each rank.
- *  - reduce_scatter: `bytes` = size of the *input* tensor on each rank.
- *  - all_to_all:     `bytes` = size of each rank's local send buffer
- *                     (1/P of it stays local).
+ *  - all_reduce: `bytes` = size of the (replicated) tensor on each rank.
+ *  - all_gather: `bytes` = size of the *gathered result* on each rank.
+ *  - all_to_all: `bytes` = size of each rank's local send buffer (1/P of
+ *                it stays local).
  */
 class CollectiveModel
 {
@@ -73,9 +72,6 @@ class CollectiveModel
     /** Time for an all-gather producing `bytes` on each rank, seconds. */
     double all_gather(double bytes, int nranks) const;
 
-    /** Time for a reduce-scatter of `bytes` input per rank, seconds. */
-    double reduce_scatter(double bytes, int nranks) const;
-
     /** Time for an all-to-all with `bytes` local buffer per rank, seconds. */
     double all_to_all(double bytes, int nranks) const;
 
@@ -90,6 +86,19 @@ class CollectiveModel
 
     /** Per-rank wire volume of an all-gather, bytes. */
     static double all_gather_volume(double bytes, int nranks);
+
+    /**
+     * Latency phases of an all-reduce: 2(P-1) ring steps, or two on a
+     * switch (reduce-scatter + all-gather, each one simultaneous
+     * exchange).
+     */
+    static double all_reduce_phases(FabricKind kind, int nranks);
+
+    /**
+     * Latency phases of an all-to-all or all-gather: P-1 neighbour rounds
+     * on a ring, one simultaneous exchange on a switch.
+     */
+    static double exchange_phases(FabricKind kind, int nranks);
 
   private:
     LinkSpec link_;
@@ -148,20 +157,6 @@ class LinkChannel
     /** @return seconds a `bytes`-sized transfer occupies the link. */
     double occupancy(double bytes) const;
 
-    /**
-     * Degrade (factor > 1) or restore (factor = 1) the link: subsequent
-     * `occupancy` computations scale their bandwidth term by `factor`
-     * (latency is unaffected — degradation models congestion/lane loss,
-     * not added hops). Already-reserved windows keep their timing unless
-     * a later `cancel` recomputes them, which uses the factor then in
-     * force. At exactly 1.0 the arithmetic is untouched, so unfaulted
-     * replays stay bit-identical.
-     */
-    void set_rate_multiplier(double factor);
-
-    /** @return the degradation factor in force (1 = healthy). */
-    double rate_multiplier() const { return rate_multiplier_; }
-
     /** @return the link specification in use. */
     const LinkSpec& link() const { return link_; }
 
@@ -178,7 +173,6 @@ class LinkChannel
 
     LinkSpec link_;
     std::vector<Entry> entries_;  ///< FIFO reservation order
-    double rate_multiplier_ = 1.0;
 };
 
 } // namespace shiftpar::hw

@@ -15,6 +15,10 @@
  *    coefficients (`hw::KernelCoeffs`) can be fit to external profiles by
  *    `tools/calibrate`.
  *
+ * Both price the same step shape (`parallel::shape_step`: SP padding,
+ * feature scaling, KV replication, collective payloads); they differ only
+ * in how that shape is turned into seconds.
+ *
  * The batch/timing vocabulary (`SeqChunk`, `BatchWork`, `StepTiming`) lives
  * here — it describes *work* and *cost*, not a parallelism strategy — and is
  * re-exported under `shiftpar::parallel` for source compatibility with the

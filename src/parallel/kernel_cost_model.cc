@@ -1,33 +1,10 @@
 #include "parallel/kernel_cost_model.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "model/flops.h"
-#include "util/logging.h"
-#include "util/units.h"
 
 namespace shiftpar::parallel {
-
-namespace {
-
-/** Phase count of an all-reduce on this fabric (see hw::CollectiveModel). */
-double
-all_reduce_phases(const hw::LinkSpec& link, int nranks)
-{
-    const double p = static_cast<double>(nranks);
-    return link.kind == hw::FabricKind::kRing ? 2.0 * (p - 1.0) : 2.0;
-}
-
-/** Phase count of an all-to-all / all-gather on this fabric. */
-double
-exchange_phases(const hw::LinkSpec& link, int nranks)
-{
-    const double p = static_cast<double>(nranks);
-    return link.kind == hw::FabricKind::kRing ? p - 1.0 : 1.0;
-}
-
-} // namespace
 
 KernelCostModel::KernelCostModel(hw::Node node, model::ModelConfig m,
                                  hw::KernelCoeffs coeffs, PerfOptions opts)
@@ -42,18 +19,14 @@ KernelCostModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
                           bool sliced_weights,
                           std::vector<KernelCost>* breakdown) const
 {
-    validate_config_or_die(model_, cfg);
-    SP_ASSERT(cfg.world() <= node_.num_gpus,
-              "configuration exceeds node size");
-
+    const StepShape s =
+        shape_step(node_, model_, opts_, work, cfg, sliced_weights);
     const model::ModelConfig& m = model_;
-    const int g = cfg.world();
-    const int rep = kv_replication(m, cfg);
+    const int g = s.group;
     const double L = static_cast<double>(m.num_layers);
     const double wbytes = model::dtype_bytes(m.weight_dtype);
     const double act_b = opts_.act_bytes;
-    const double slice =
-        sliced_weights ? 1.0 + opts_.slicing_overhead_frac : 1.0;
+    const double rows = s.rows;
 
     StepTiming t;
 
@@ -75,30 +48,13 @@ KernelCostModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
     };
 
     if (opts_.engine_overhead) {
-        const double overhead = opts_.step_overhead_base +
-                                opts_.step_overhead_per_rank * (g - 1);
-        t.overhead = overhead;
+        t.overhead = s.overhead;
         if (breakdown != nullptr)
             breakdown->push_back(
-                {"engine_overhead", "overhead", 1.0, 0.0, 0.0, overhead});
+                {"engine_overhead", "overhead", 1.0, 0.0, 0.0, s.overhead});
     }
-
-    const std::int64_t n_raw = work.total_new_tokens();
-    if (n_raw == 0)
+    if (s.tokens == 0)
         return t;
-
-    // Batch semantics shared with the roofline model: SP padding
-    // (Section 3.2.1) and feature scaling of the compute tokens.
-    const std::int64_t n = cfg.sp > 1 ? round_up(n_raw, cfg.sp) : n_raw;
-    const double rows = static_cast<double>(n) / cfg.sp;  // rows per GPU
-    double compute_tokens = 0.0;
-    for (const auto& c : work.chunks) {
-        compute_tokens += static_cast<double>(c.new_tokens) *
-                          (c.is_prefill ? opts_.swiftkv_prefill_factor
-                                        : opts_.decode_compute_inflation);
-    }
-    const double n_eff = static_cast<double>(n) * compute_tokens /
-                         static_cast<double>(n_raw);
 
     // ---- Norms: two bandwidth-bound elementwise kernels per layer -------
     // (input RMSNorm + post-attention RMSNorm), each a read+write pass
@@ -119,24 +75,21 @@ KernelCostModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
     const double mlp_w =
         model::layer_dense_weight_bytes(m) - m.attn_params_per_layer() *
                                                  wbytes;
-    const double expert_read =
-        model::layer_expert_read_bytes(m, static_cast<double>(n)) /
-        (cfg.tp * cfg.ep);
 
     add("qkv_gemm", "gemm", coeffs_.gemm, L,
-        L * model::qkv_flops(m, n_eff) / g,
-        L * (qkv_w / cfg.tp * slice + rows * m.hidden_size * act_b +
+        L * model::qkv_flops(m, s.compute_tokens) / g,
+        L * (qkv_w / cfg.tp * s.slice + rows * m.hidden_size * act_b +
              rows * qkv_out * act_b / cfg.tp),
         1.0, &t.gemm);
     add("o_gemm", "gemm", coeffs_.gemm, L,
-        L * model::o_flops(m, n_eff) / g,
-        L * (o_w / cfg.tp * slice +
+        L * model::o_flops(m, s.compute_tokens) / g,
+        L * (o_w / cfg.tp * s.slice +
              rows * m.q_heads * m.head_dim * act_b / cfg.tp +
              rows * m.hidden_size * act_b),
         1.0, &t.gemm);
     add("mlp_gemm", "gemm", coeffs_.gemm, L,
-        L * model::mlp_flops(m, n_eff) / g,
-        L * ((mlp_w / cfg.tp + expert_read) * slice +
+        L * model::mlp_flops(m, s.compute_tokens) / g,
+        L * ((mlp_w / cfg.tp + s.expert_read) * s.slice +
              2.0 * rows * m.hidden_size * act_b +
              3.0 * rows * m.intermediate_size * act_b / cfg.tp),
         1.0, &t.gemm);
@@ -149,85 +102,57 @@ KernelCostModel::evaluate(const BatchWork& work, const ParallelConfig& cfg,
     double decode_flops = 0.0, decode_kv = 0.0;
     bool any_prefill = false, any_decode = false;
     for (const auto& c : work.chunks) {
-        const double nt = static_cast<double>(c.new_tokens);
-        const double past = static_cast<double>(c.past);
+        const ChunkAttention a = chunk_attention(m, opts_, c);
         if (c.is_prefill) {
-            const double f = opts_.swiftkv_prefill_factor;
-            prefill_flops += f * model::attn_flops(m, nt, past);
-            prefill_kv += f * model::kv_read_bytes(m, nt, past) +
-                          model::kv_write_bytes(m, nt);
+            prefill_flops += a.flops;
+            prefill_kv += a.kv_bytes;
             any_prefill = true;
         } else {
-            decode_flops += opts_.decode_compute_inflation *
-                            model::attn_flops(m, nt, past);
-            decode_kv += model::kv_read_bytes(m, nt, past) +
-                         model::kv_write_bytes(m, nt);
+            decode_flops += a.flops;
+            decode_kv += a.kv_bytes;
             any_decode = true;
         }
     }
     if (any_prefill) {
         add("attn_prefill", "attention", coeffs_.attention, L,
-            L * prefill_flops / g, L * prefill_kv * rep / g,
+            L * prefill_flops / g, L * prefill_kv * s.kv_rep / g,
             opts_.attention_scale, &t.attention);
     }
     if (any_decode) {
         add("attn_decode", "attention", coeffs_.attention, L,
-            L * decode_flops / g, L * decode_kv * rep / g,
+            L * decode_flops / g, L * decode_kv * s.kv_rep / g,
             opts_.attention_scale, &t.attention);
     }
 
     // ---- Collectives, per layer (Algorithm 1) ---------------------------
     // Priced phases*alpha + wire_volume*gamma with the fabric's phase
-    // counts; volumes match hw::CollectiveModel (Table 2 accounting).
-    const hw::LinkSpec& link = node_.link;
-    if (cfg.tp > 1) {
-        const double ar_bytes = rows * m.hidden_size * act_b;
-        add("tp_allreduce", "collective", coeffs_.collective,
-            2.0 * L * all_reduce_phases(link, cfg.tp), 0.0,
-            2.0 * L *
-                hw::CollectiveModel::all_reduce_volume(ar_bytes, cfg.tp),
-            opts_.comm_scale, &t.comm);
-    }
-    if (cfg.sp > 1) {
-        const double qkv_cols =
-            (m.q_heads + 2.0 * m.kv_heads * rep) * m.head_dim / cfg.tp;
-        add("sp_a2a_qkv", "collective", coeffs_.collective,
-            L * exchange_phases(link, cfg.sp), 0.0,
-            L * hw::CollectiveModel::all_to_all_volume(
-                    rows * qkv_cols * act_b, cfg.sp),
-            opts_.comm_scale, &t.comm);
-        const double o_cols =
-            static_cast<double>(m.q_heads) * m.head_dim / cfg.tp;
-        add("sp_a2a_o", "collective", coeffs_.collective,
-            L * exchange_phases(link, cfg.sp), 0.0,
-            L * hw::CollectiveModel::all_to_all_volume(
-                    rows * o_cols * act_b, cfg.sp),
-            opts_.comm_scale, &t.comm);
-    }
-    if (m.is_moe() && cfg.ep > 1) {
-        const double routed =
-            rows * m.active_experts * m.hidden_size * act_b / cfg.tp;
-        add("ep_a2a", "collective", coeffs_.collective,
-            2.0 * L * exchange_phases(link, cfg.ep), 0.0,
-            2.0 * L *
-                hw::CollectiveModel::all_to_all_volume(routed, cfg.ep),
-            opts_.comm_scale, &t.comm);
+    // counts and Table 2 per-rank wire volumes.
+    using Coll = hw::CollectiveModel;
+    const hw::FabricKind fabric = node_.link.kind;
+    for (int i = 0; i < s.num_collectives; ++i) {
+        const LayerCollective& c = s.collectives[i];
+        const double phases = c.all_reduce
+                                  ? Coll::all_reduce_phases(fabric, c.ranks)
+                                  : Coll::exchange_phases(fabric, c.ranks);
+        const double volume =
+            c.all_reduce ? Coll::all_reduce_volume(c.bytes, c.ranks)
+                         : Coll::all_to_all_volume(c.bytes, c.ranks);
+        add(c.kernel, "collective", coeffs_.collective, c.calls * L * phases,
+            0.0, c.calls * L * volume, opts_.comm_scale, &t.comm);
     }
 
     // ---- LM head (sampled positions only) -------------------------------
-    const double sampled = static_cast<double>(work.num_seqs());
     add("lm_head", "gemm", coeffs_.gemm, 1.0,
-        model::lm_head_flops(m, sampled) / g,
+        model::lm_head_flops(m, s.sampled) / g,
         static_cast<double>(m.vocab_size) * m.hidden_size * wbytes / g +
-            sampled * m.hidden_size * act_b,
+            s.sampled * m.hidden_size * act_b,
         1.0, &t.gemm);
 
     // ---- Final sequence all-gather (Algorithm 1 line 13) ----------------
     if (cfg.sp > 1) {
         add("sp_allgather", "collective", coeffs_.collective,
-            exchange_phases(link, cfg.sp), 0.0,
-            hw::CollectiveModel::all_gather_volume(
-                static_cast<double>(n) * m.hidden_size * act_b, cfg.sp),
+            Coll::exchange_phases(fabric, cfg.sp), 0.0,
+            Coll::all_gather_volume(s.gather_bytes, cfg.sp),
             opts_.comm_scale, &t.comm);
     }
     return t;

@@ -9,16 +9,15 @@
  * and the final SP all-gather — and prices each kernel with the linear
  * form `alpha + beta*flops + gamma*bytes` under its `hw::KernelCoeffs`
  * class. Collectives are priced `phases*alpha + wire_volume*gamma` with
- * the fabric's phase counts (ring vs switch, mirroring
- * `hw::CollectiveModel`).
+ * `hw::CollectiveModel`'s fabric phase counts and wire volumes.
  *
- * The decomposition reuses the roofline model's batch semantics exactly:
- * SP padding, SwiftKV prefill scaling, speculative-decode inflation, KV
- * replication, slicing overhead, and the Fig. 15 component-removal knobs
- * all behave identically — only the per-kernel pricing differs. The
- * per-kernel breakdown it reports sums to the returned step total and
- * carries the (flops, bytes) features each cost came from, which is what
- * `tools/calibrate` fits against.
+ * It prices the same `StepShape` as the roofline model (`shape_step`:
+ * SP padding, SwiftKV and speculative-decode scaling, KV replication,
+ * slicing overhead, collective payloads), so only the per-kernel pricing
+ * differs; the Fig. 15 component-removal knobs scale its rows the same
+ * way. The per-kernel breakdown it reports sums to the returned step
+ * total and carries the (flops, bytes) features each cost came from,
+ * which is what `tools/calibrate` fits against.
  */
 
 #pragma once
@@ -44,7 +43,7 @@ class KernelCostModel : public model::CostModel
      * @param m The model being served.
      * @param coeffs Per-kernel-class coefficients (preset or calibrated).
      * @param opts Same engine-overhead/ablation knobs as the roofline
-     *        model; feature scaling is applied identically.
+     *        model.
      */
     KernelCostModel(hw::Node node, model::ModelConfig m,
                     hw::KernelCoeffs coeffs, PerfOptions opts = {});
@@ -56,9 +55,6 @@ class KernelCostModel : public model::CostModel
                         std::vector<KernelCost>* breakdown =
                             nullptr) const override;
 
-    const hw::KernelCoeffs& coeffs() const { return coeffs_; }
-    const model::ModelConfig& model() const { return model_; }
-    const hw::Node& node() const { return node_; }
     const PerfOptions& options() const { return opts_; }
 
   private:

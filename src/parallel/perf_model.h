@@ -8,11 +8,13 @@
  * Figure 15 components: GEMM compute, attention, communication, and engine
  * (vLLM-equivalent) overhead.
  *
- * `PerfModel` is the default `model::CostModel` implementation (the
- * roofline aggregate); see `parallel/kernel_cost_model.h` for the
- * kernel-decomposed alternative. The batch/timing vocabulary lives in
- * `model/cost_model.h` and is re-exported here so pre-interface code keeps
- * compiling against `parallel::BatchWork` / `parallel::StepTiming`.
+ * What a step contains is worked out once, by `shape_step`: the config
+ * check, engine overhead, SP padding, feature-scaled compute tokens, KV
+ * replication, slicing factor and every collective payload. `PerfModel`
+ * (the default `model::CostModel`, a roofline aggregate) and
+ * `parallel::KernelCostModel` (kernel-decomposed) only price that
+ * `StepShape`. The batch/timing vocabulary lives in `model/cost_model.h`
+ * and is re-exported here as `parallel::BatchWork` / `StepTiming`.
  *
  * Strategy-distinguishing behaviour captured here:
  *  - TP shards weights (1/TP reads) but pays two all-reduces of the full
@@ -30,6 +32,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -92,6 +95,77 @@ struct PerfOptions
     bool engine_overhead = true;
 };
 
+/** One per-layer collective of Algorithm 1 and its payload. */
+struct LayerCollective
+{
+    const char* kernel = "";  ///< breakdown row name ("tp_allreduce", ...)
+    bool all_reduce = false;  ///< an all-reduce; otherwise an all-to-all
+    int ranks = 1;            ///< ranks the collective spans
+    double calls = 1.0;       ///< launches per layer
+    double bytes = 0.0;       ///< payload per launch (CollectiveModel terms)
+};
+
+/**
+ * What one engine step contains under a configuration (Algorithm 1,
+ * Section 3.2.1), before any pricing.
+ */
+struct StepShape
+{
+    int group = 1;               ///< ranks in the engine group (SP * TP)
+    int kv_rep = 1;              ///< KV-head replication factor
+    double overhead = 0.0;       ///< engine overhead, s (0 when removed)
+    std::int64_t tokens = 0;     ///< batch tokens padded to a multiple of SP
+    double rows = 0.0;           ///< sequence rows per GPU (tokens / SP)
+    double compute_tokens = 0.0; ///< padded tokens after feature scaling
+    double expert_read = 0.0;    ///< expert bytes one GPU streams per layer
+    double sampled = 0.0;        ///< positions the LM head samples
+    double slice = 1.0;          ///< weight-traffic factor of slicing
+    std::array<LayerCollective, 4> collectives{};  ///< Algorithm 1 order
+    int num_collectives = 0;
+    double gather_bytes = 0.0;   ///< final SP all-gather payload (line 13)
+};
+
+/**
+ * Shape one step: validate `cfg` (fatal when invalid or larger than the
+ * node) and derive everything both cost models price. An empty batch
+ * yields `tokens == 0` with only the group, KV replication and overhead
+ * filled in.
+ */
+StepShape shape_step(const hw::Node& node, const model::ModelConfig& m,
+                     const PerfOptions& opts, const BatchWork& work,
+                     const ParallelConfig& cfg, bool sliced_weights);
+
+/** Attention work of one chunk for the whole group, per layer. */
+struct ChunkAttention
+{
+    double flops = 0.0;
+    double kv_bytes = 0.0;  ///< KV-cache reads + writes (one KV-head copy)
+};
+
+/**
+ * Attention work of `c` after feature scaling. SwiftKV skips attention in
+ * the reduced layers during prefill. Speculative verification queries
+ * attend with draft_len+1 positions per emitted token, inflating decode
+ * FLOPs; the cache is still streamed once per chunk, so reads are not
+ * inflated.
+ */
+inline ChunkAttention
+chunk_attention(const model::ModelConfig& m, const PerfOptions& opts,
+                const SeqChunk& c)
+{
+    const double nt = static_cast<double>(c.new_tokens);
+    const double past = static_cast<double>(c.past);
+    if (c.is_prefill) {
+        const double f = opts.swiftkv_prefill_factor;
+        return {f * model::attn_flops(m, nt, past),
+                f * model::kv_read_bytes(m, nt, past) +
+                    model::kv_write_bytes(m, nt)};
+    }
+    return {opts.decode_compute_inflation * model::attn_flops(m, nt, past),
+            model::kv_read_bytes(m, nt, past) +
+                model::kv_write_bytes(m, nt)};
+}
+
 /**
  * The roofline step-cost model (default `model::CostModel`).
  *
@@ -114,17 +188,6 @@ class PerfModel : public model::CostModel
                         bool sliced_weights = false,
                         std::vector<KernelCost>* breakdown =
                             nullptr) const override;
-
-    /** Pre-interface name for `evaluate` (kept for callers and tests). */
-    StepTiming step_time(const BatchWork& work, const ParallelConfig& cfg,
-                         bool sliced_weights = false) const
-    {
-        return evaluate(work, cfg, sliced_weights);
-    }
-
-    const model::ModelConfig& model() const { return model_; }
-    const hw::Node& node() const { return node_; }
-    const PerfOptions& options() const { return opts_; }
 
   private:
     hw::Node node_;

@@ -96,7 +96,7 @@ ArgParser::set_value(const std::string& name, const std::string& value)
         if (end == value.c_str() || *end != '\0')
             fatal("flag --" + name + " expects a number, got '" + value +
                   "'");
-        if (errno == ERANGE || std::isinf(v))
+        if (errno == ERANGE || !std::isfinite(v))
             fatal("flag --" + name + " value is out of range: '" + value +
                   "'");
     } else if (it->second.kind == Kind::kBool) {

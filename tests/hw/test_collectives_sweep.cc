@@ -50,19 +50,25 @@ TEST_P(CollectiveSweep, AllToAllClosedForm)
 
 TEST_P(CollectiveSweep, GatherScatterSymmetry)
 {
+    // An all-reduce is a reduce-scatter plus an all-gather: two symmetric
+    // halves, each with the all-gather's wire volume and phase count, on
+    // either fabric.
     const int p = GetParam();
-    const CollectiveModel c(switch_);
-    EXPECT_DOUBLE_EQ(c.all_gather(32e6, p), c.reduce_scatter(32e6, p));
+    EXPECT_DOUBLE_EQ(CollectiveModel::all_reduce_volume(32e6, p),
+                     2.0 * CollectiveModel::all_gather_volume(32e6, p));
+    for (const FabricKind kind : {FabricKind::kRing, FabricKind::kSwitch})
+        EXPECT_DOUBLE_EQ(CollectiveModel::all_reduce_phases(kind, p),
+                         2.0 * CollectiveModel::exchange_phases(kind, p));
 }
 
 TEST_P(CollectiveSweep, AllReduceEqualsScatterPlusGatherOnSwitch)
 {
-    // The two-phase decomposition the switch model encodes.
+    // The two-phase decomposition the switch model encodes; a
+    // reduce-scatter moves what an all-gather moves, in as many phases.
     const int p = GetParam();
     const CollectiveModel c(switch_);
     const double bytes = 48e6;
-    EXPECT_NEAR(c.all_reduce(bytes, p),
-                c.reduce_scatter(bytes, p) + c.all_gather(bytes, p), 1e-12);
+    EXPECT_NEAR(c.all_reduce(bytes, p), 2.0 * c.all_gather(bytes, p), 1e-12);
 }
 
 TEST_P(CollectiveSweep, VolumeGrowsTowardAsymptote)

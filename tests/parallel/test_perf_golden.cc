@@ -49,7 +49,7 @@ TEST_F(GoldenPerf, SingleGpuPrefillMatchesClosedForm)
 {
     const PerfModel perf(node_, m_, opts_);
     const double n = 4096.0;
-    const auto t = perf.step_time(BatchWork::prefill(4096), {1, 1});
+    const auto t = perf.evaluate(BatchWork::prefill(4096), {1, 1});
 
     // GEMM region: compute-bound at this size.
     const double gemm_flops = model::layer_gemm_flops(m_, n);
@@ -83,7 +83,7 @@ TEST_F(GoldenPerf, Tp2AllReduceMatchesAlphaBeta)
 {
     const PerfModel perf(node_, m_, opts_);
     const double n = 1000.0;
-    const auto t = perf.step_time(BatchWork::prefill(1000), {1, 2});
+    const auto t = perf.evaluate(BatchWork::prefill(1000), {1, 2});
 
     // Per layer: two all-reduces of n*d*act_bytes across 2 ranks.
     const double bytes = n * m_.hidden_size * opts_.act_bytes;
@@ -96,7 +96,7 @@ TEST_F(GoldenPerf, Sp2AllToAllMatchesAlphaBeta)
 {
     const PerfModel perf(node_, m_, opts_);
     const double n = 1000.0;
-    const auto t = perf.step_time(BatchWork::prefill(1000), {2, 1});
+    const auto t = perf.evaluate(BatchWork::prefill(1000), {2, 1});
 
     const double rows = n / 2.0;
     const double qkv_cols =
@@ -119,7 +119,7 @@ TEST_F(GoldenPerf, DecodeWeightStreamIsTheSpBottleneck)
     // Pure SP decode of batch 8 (one row per rank): the GEMM region must
     // be exactly the full-layer weight stream (memory-bound).
     const PerfModel perf(node_, m_, opts_);
-    const auto t = perf.step_time(BatchWork::decode(8, 512), {8, 1});
+    const auto t = perf.evaluate(BatchWork::decode(8, 512), {8, 1});
     const double bytes = model::layer_weight_read_bytes(m_, 8.0) +
                          model::layer_activation_bytes(m_, 8.0) / 8.0;
     const double lm_bytes =
@@ -134,8 +134,8 @@ TEST_F(GoldenPerf, PaddingRoundsRowsUp)
     // Batch 9 on SP=8 pads to 16: identical GEMM cost to batch 16 and
     // strictly more than unpadded batch 9 on TP.
     const PerfModel perf(node_, m_, opts_);
-    const auto t9 = perf.step_time(BatchWork::decode(9, 256), {8, 1});
-    const auto t16 = perf.step_time(BatchWork::decode(16, 256), {8, 1});
+    const auto t9 = perf.evaluate(BatchWork::decode(9, 256), {8, 1});
+    const auto t16 = perf.evaluate(BatchWork::decode(16, 256), {8, 1});
     EXPECT_DOUBLE_EQ(t9.gemm, t16.gemm);
 }
 
@@ -144,7 +144,7 @@ TEST_F(GoldenPerf, OverheadFormula)
     const PerfModel perf(node_, m_, opts_);
     for (int g : {1, 2, 4, 8}) {
         const ParallelConfig cfg{1, g};
-        const auto t = perf.step_time(BatchWork::decode(1, 16), cfg);
+        const auto t = perf.evaluate(BatchWork::decode(1, 16), cfg);
         EXPECT_DOUBLE_EQ(t.overhead,
                          opts_.step_overhead_base +
                              opts_.step_overhead_per_rank * (g - 1));
@@ -158,8 +158,8 @@ TEST_F(GoldenPerf, SwiftKvScalesGemmExactly)
     const PerfModel plain(node_, m_, opts_);
     const PerfModel fast(node_, m_, swift);
     const double n = 100000.0;  // deep in the compute-bound regime
-    const auto tp = plain.step_time(BatchWork::prefill(100000), {1, 1});
-    const auto tf = fast.step_time(BatchWork::prefill(100000), {1, 1});
+    const auto tp = plain.evaluate(BatchWork::prefill(100000), {1, 1});
+    const auto tf = fast.evaluate(BatchWork::prefill(100000), {1, 1});
     // Compute-bound: gemm time halves up to the fixed kernel overheads
     // and weight-stream floor.
     EXPECT_NEAR(tf.gemm / tp.gemm, 0.5, 0.02);

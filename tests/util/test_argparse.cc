@@ -150,9 +150,11 @@ TEST(ArgParser, IntUnderflowIsFatal)
 
 TEST(ArgParser, DoubleOverflowIsFatal)
 {
-    auto p = make_parser();
-    Argv a({"--rate", "1e999"});
-    EXPECT_DEATH(p.parse(a.argc(), a.argv()), "out of range");
+    for (const char* bad : {"1e999", "nan"}) {
+        auto p = make_parser();
+        Argv a({"--rate", bad});
+        EXPECT_DEATH(p.parse(a.argc(), a.argv()), "out of range") << bad;
+    }
 }
 
 TEST(ArgParser, WrongTypeAccessIsFatal)
