@@ -57,14 +57,7 @@ Engine::submit(const RequestSpec& spec, RequestId id, bool migrated_in)
     req->spec = spec;
     req->prefill_target = spec.prompt_tokens;
     req->migrated_in = migrated_in;
-    scheduler_.enqueue(req.get());
-    requests_.push_back(std::move(req));
-    if (cfg_.trace) {
-        cfg_.trace->publish_request({cfg_.trace_id, id,
-                                obs::RequestPhase::kSubmit, spec.arrival,
-                                spec.prompt_tokens});
-    }
-    notify_ready_changed();
+    enqueue(std::move(req));
 }
 
 void
@@ -81,14 +74,46 @@ Engine::submit_prefilled(const RequestSpec& spec, RequestId id,
     req->prefilled = spec.prompt_tokens;  // KV materialized on admission
     req->decoded = already_decoded;
     req->first_token = spec.arrival;  // produced by the prefill worker
+    enqueue(std::move(req));
+}
+
+void
+Engine::enqueue(std::unique_ptr<Request> req)
+{
     scheduler_.enqueue(req.get());
-    requests_.push_back(std::move(req));
     if (cfg_.trace) {
-        cfg_.trace->publish_request({cfg_.trace_id, id,
-                                obs::RequestPhase::kSubmit, spec.arrival,
-                                spec.prompt_tokens});
+        cfg_.trace->publish_request({cfg_.trace_id, req->id,
+                                     obs::RequestPhase::kSubmit,
+                                     req->spec.arrival,
+                                     req->spec.prompt_tokens});
     }
+    requests_.push_back(std::move(req));
     notify_ready_changed();
+}
+
+std::vector<std::pair<RequestSpec, RequestId>>
+Engine::hand_back(const std::vector<Request*>& removed)
+{
+    std::vector<std::pair<RequestSpec, RequestId>> out;
+    out.reserve(removed.size());
+    for (const Request* r : removed)
+        out.emplace_back(r->spec, r->id);
+    return out;
+}
+
+void
+Engine::publish_fault(obs::FaultKind kind, double t, double magnitude,
+                      std::int64_t dropped) const
+{
+    if (!cfg_.trace)
+        return;
+    obs::FaultEvent ev;
+    ev.engine = cfg_.trace_id;
+    ev.kind = kind;
+    ev.t = t;
+    ev.magnitude = magnitude;
+    ev.dropped_requests = dropped;
+    cfg_.trace->on_fault(ev);
 }
 
 bool
@@ -133,19 +158,9 @@ Engine::start_drain(double t)
     SP_ASSERT(!draining_, "start_drain on an already-draining engine");
     draining_ = true;
     now_ = std::max(now_, t);
-    std::vector<Request*> handed = scheduler_.drain_waiting();
-    std::vector<std::pair<RequestSpec, RequestId>> out;
-    out.reserve(handed.size());
-    for (const Request* r : handed)
-        out.emplace_back(r->spec, r->id);
-    if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = obs::FaultKind::kDrainStart;
-        ev.t = now_;
-        ev.dropped_requests = static_cast<std::int64_t>(out.size());
-        cfg_.trace->on_fault(ev);
-    }
+    auto out = hand_back(scheduler_.drain_waiting());
+    publish_fault(obs::FaultKind::kDrainStart, now_, 0.0,
+                  static_cast<std::int64_t>(out.size()));
     notify_ready_changed();  // the hand-back may have emptied the queue
     return out;
 }
@@ -156,13 +171,7 @@ Engine::resume_admission(double t)
     SP_ASSERT(draining_, "resume_admission on a non-draining engine");
     draining_ = false;
     now_ = std::max(now_, t);
-    if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = obs::FaultKind::kDrainEnd;
-        ev.t = now_;
-        cfg_.trace->on_fault(ev);
-    }
+    publish_fault(obs::FaultKind::kDrainEnd, now_);
     notify_ready_changed();
 }
 
@@ -176,11 +185,7 @@ Engine::fail(double t)
     slowdown_ = 1.0;
     comm_multiplier_ = 1.0;
 
-    std::vector<Request*> dropped = scheduler_.fail_all();
-    std::vector<std::pair<RequestSpec, RequestId>> out;
-    out.reserve(dropped.size());
-    for (const Request* r : dropped)
-        out.emplace_back(r->spec, r->id);
+    auto out = hand_back(scheduler_.fail_all());
 
     // HBM dies with the rank group: idle prefix entries (live ones were
     // just unpinned by the drop) are destroyed too, so a recovered engine
@@ -189,14 +194,8 @@ Engine::fail(double t)
     SP_ASSERT(cache_.num_requests() == 0 && cache_.prefix_entry_count() == 0,
               "failed engine still holds KV state");
 
-    if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = obs::FaultKind::kFail;
-        ev.t = now_;
-        ev.dropped_requests = static_cast<std::int64_t>(out.size());
-        cfg_.trace->on_fault(ev);
-    }
+    publish_fault(obs::FaultKind::kFail, now_, 0.0,
+                  static_cast<std::int64_t>(out.size()));
     notify_ready_changed();  // failed: no events until recover()
     return out;
 }
@@ -207,13 +206,7 @@ Engine::recover(double t)
     SP_ASSERT(failed_, "recover() on a healthy engine");
     failed_ = false;
     now_ = std::max(now_, t);
-    if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = obs::FaultKind::kRecover;
-        ev.t = now_;
-        cfg_.trace->on_fault(ev);
-    }
+    publish_fault(obs::FaultKind::kRecover, now_);
     notify_ready_changed();
 }
 
@@ -222,15 +215,9 @@ Engine::set_slowdown(double factor, double t)
 {
     SP_ASSERT(factor >= 1.0);
     slowdown_ = factor;
-    if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = factor > 1.0 ? obs::FaultKind::kStraggleStart
-                               : obs::FaultKind::kStraggleEnd;
-        ev.t = t;
-        ev.magnitude = factor;
-        cfg_.trace->on_fault(ev);
-    }
+    publish_fault(factor > 1.0 ? obs::FaultKind::kStraggleStart
+                               : obs::FaultKind::kStraggleEnd,
+                  t, factor);
 }
 
 void
@@ -238,15 +225,9 @@ Engine::set_comm_multiplier(double factor, double t)
 {
     SP_ASSERT(factor >= 1.0);
     comm_multiplier_ = factor;
-    if (cfg_.trace) {
-        obs::FaultEvent ev;
-        ev.engine = cfg_.trace_id;
-        ev.kind = factor > 1.0 ? obs::FaultKind::kLinkDegrade
-                               : obs::FaultKind::kLinkRestore;
-        ev.t = t;
-        ev.magnitude = factor;
-        cfg_.trace->on_fault(ev);
-    }
+    publish_fault(factor > 1.0 ? obs::FaultKind::kLinkDegrade
+                               : obs::FaultKind::kLinkRestore,
+                  t, factor);
 }
 
 void

@@ -355,6 +355,17 @@ class Engine : public sim::Component
     obs::EngineId trace_id() const { return cfg_.trace_id; }
 
   private:
+    /** Take ownership of `req`, queue it, and publish its submission. */
+    void enqueue(std::unique_ptr<Request> req);
+
+    /** @return removed requests as (spec, id) pairs for re-routing. */
+    static std::vector<std::pair<RequestSpec, RequestId>> hand_back(
+        const std::vector<Request*>& removed);
+
+    /** Publish a fault transition on this engine's trace track. */
+    void publish_fault(obs::FaultKind kind, double t, double magnitude = 0.0,
+                       std::int64_t dropped = 0) const;
+
     /** Execute one iteration; @return false when nothing was schedulable. */
     bool step();
 

@@ -17,21 +17,43 @@ Router::Router(std::vector<std::unique_ptr<Engine>> engines,
     SP_ASSERT(!engines_.empty());
 }
 
+bool
+Router::accepts_work(std::size_t i) const
+{
+    return !engines_[i]->failed() && !engines_[i]->draining();
+}
+
+template <class Pred>
+std::size_t
+Router::least_loaded(Pred pred) const
+{
+    const std::size_t n = engines_.size();
+    std::size_t best = n;
+    std::int64_t best_load = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!pred(i))
+            continue;
+        const std::int64_t load = engines_[i]->outstanding_tokens();
+        if (best == n || load < best_load) {
+            best = i;
+            best_load = load;
+        }
+    }
+    return best;
+}
+
 std::size_t
 Router::select_replica()
 {
     const std::size_t n = engines_.size();
-    // Pass 0 skips draining and breaker-excluded replicas; when that
-    // leaves nothing admissible, pass 1 re-admits the breaker-excluded
-    // ones — degraded service beats losing the request. Failed and
-    // draining replicas stay out in both passes (they cannot accept
-    // work). With the overload features off this reduces exactly to the
-    // original skip-failed scan.
+    // Pass 0 skips breaker-excluded replicas; when that leaves nothing
+    // admissible, pass 1 re-admits them — degraded service beats losing
+    // the request. Replicas that do not accept work stay out in both
+    // passes. With the overload features off this reduces exactly to a
+    // single scan over the replicas that accept work.
     for (int pass = 0; pass < 2; ++pass) {
         const auto usable = [&](std::size_t i) {
-            if (engines_[i]->failed() || engines_[i]->draining())
-                return false;
-            return pass == 1 || !breaker_excludes(i);
+            return accepts_work(i) && (pass == 1 || !breaker_excludes(i));
         };
         if (policy_ == RoutingPolicy::kRoundRobin) {
             for (std::size_t k = 0; k < n; ++k) {
@@ -43,17 +65,7 @@ Router::select_replica()
             }
             continue;
         }
-        std::size_t best = n;
-        std::int64_t best_load = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!usable(i))
-                continue;
-            const std::int64_t load = engines_[i]->outstanding_tokens();
-            if (best == n || load < best_load) {
-                best = i;
-                best_load = load;
-            }
-        }
+        const std::size_t best = least_loaded(usable);
         if (best < n)
             return best;
     }
@@ -71,11 +83,13 @@ Router::publish(obs::EngineId engine, RequestId id, obs::RequestPhase phase,
 void
 Router::rebalance(double t)
 {
-    // Failed replicas are invisible to the rebalancer: they can neither
-    // donate (their queues were dropped) nor receive work.
+    // Failed replicas are invisible to the rebalancer (their queues were
+    // dropped), and only a replica that accepts work may receive: a
+    // draining one can donate nothing (its queue was handed back) and
+    // must not be sent anything.
     const std::size_t n = engines_.size();
-    std::size_t busiest = n, idlest = n;
-    std::int64_t max_load = 0, min_load = 0;
+    std::size_t busiest = n;
+    std::int64_t max_load = 0;
     for (std::size_t i = 0; i < n; ++i) {
         if (engines_[i]->failed())
             continue;
@@ -84,14 +98,13 @@ Router::rebalance(double t)
             max_load = load;
             busiest = i;
         }
-        if (idlest == n || load < min_load) {
-            min_load = load;
-            idlest = i;
-        }
     }
-    if (busiest == n || busiest == idlest)
+    const std::size_t idlest =
+        least_loaded([this](std::size_t i) { return accepts_work(i); });
+    if (idlest == n || busiest == idlest)
         return;
-    const std::int64_t gap = max_load - min_load;
+    const std::int64_t gap =
+        max_load - engines_[idlest]->outstanding_tokens();
     if (gap < migration_.min_token_imbalance)
         return;
     // The size cap keeps the move imbalance-shrinking: a straggler bigger
@@ -118,8 +131,6 @@ Router::admit(const RequestSpec& spec, RequestId id, double t)
 {
     if (should_shed()) {
         ++fault_stats_.shed;
-        obs::MetricsRegistry::current().counter_add(
-            "shiftpar_fault_requests_total", 1, {{"outcome", "shed"}});
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kShed, t,
                 spec.prompt_tokens);
         flights_[static_cast<std::size_t>(id)].outcome = FlightOutcome::kShed;
@@ -166,15 +177,15 @@ Router::should_shed() const
     if (resilience_.shed_ttft_slo <= 0.0 ||
         resilience_.replica_tokens_per_s <= 0.0)
         return true;  // degraded and no SLO estimate: shed everything
-    // SLO-aware guard: admit while the best surviving backlog would still
-    // be served within the TTFT budget.
-    std::int64_t best_backlog = std::numeric_limits<std::int64_t>::max();
-    for (const auto& e : engines_) {
-        if (!e->failed())
-            best_backlog = std::min(best_backlog, e->outstanding_tokens());
-    }
-    const double est_wait = static_cast<double>(best_backlog) /
-                            resilience_.replica_tokens_per_s;
+    // SLO-aware guard: admit while the best backlog among replicas that
+    // accept work would still be served within the TTFT budget.
+    const std::size_t best =
+        least_loaded([this](std::size_t i) { return accepts_work(i); });
+    if (best == engines_.size())
+        return false;  // nothing accepts work: the retry path owns it
+    const double est_wait =
+        static_cast<double>(engines_[best]->outstanding_tokens()) /
+        resilience_.replica_tokens_per_s;
     return est_wait > resilience_.shed_ttft_slo;
 }
 
@@ -208,16 +219,12 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
     const int attempt = ++attempts_[id];
     if (attempt > resilience_.max_retries) {
         ++fault_stats_.lost;
-        obs::MetricsRegistry::current().counter_add(
-            "shiftpar_fault_requests_total", 1, {{"outcome", "lost"}});
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kLost, t);
         f.outcome = FlightOutcome::kLost;
         count_outcome("lost");
         return;
     }
     ++fault_stats_.retries;
-    obs::MetricsRegistry::current().counter_add(
-        "shiftpar_fault_requests_total", 1, {{"outcome", "retried"}});
     const double delay =
         std::min(resilience_.backoff_base *
                      std::pow(2.0, static_cast<double>(attempt - 1)),
@@ -262,16 +269,8 @@ Router::on_engine_failure(std::size_t idx, double t)
     if (!breakers_.empty())
         breakers_[idx] = {};
     ++fault_stats_.failures;
-    obs::MetricsRegistry::current().counter_add(
-        "shiftpar_fault_transitions_total", 1, {{"kind", "failure"}});
     const auto dropped = victim.fail(t);
     fault_stats_.dropped += static_cast<std::int64_t>(dropped.size());
-    if (!dropped.empty()) {
-        obs::MetricsRegistry::current().counter_add(
-            "shiftpar_fault_requests_total",
-            static_cast<std::int64_t>(dropped.size()),
-            {{"outcome", "dropped"}});
-    }
     for (const auto& [spec, id] : dropped)
         schedule_retry(spec, id, t);
 }
@@ -280,8 +279,6 @@ void
 Router::on_engine_recovery(std::size_t idx, double t)
 {
     ++fault_stats_.recoveries;
-    obs::MetricsRegistry::current().counter_add(
-        "shiftpar_fault_transitions_total", 1, {{"kind", "recovery"}});
     engines_[idx]->recover(t);
 }
 
@@ -319,9 +316,6 @@ Router::arm_faults(sim::Cluster* cluster)
                 if (engines_[ev.engine]->failed())
                     return;
                 ++fault_stats_.straggles;
-                obs::MetricsRegistry::current().counter_add(
-                    "shiftpar_fault_transitions_total", 1,
-                    {{"kind", "straggle"}});
                 engines_[ev.engine]->set_slowdown(ev.factor, ev.at);
                 pending_restores_[ev.engine].push_back(
                     active_cluster_->post(ev.recover_at, [this, ev] {
@@ -333,12 +327,9 @@ Router::arm_faults(sim::Cluster* cluster)
           case fault::FaultKind::kDrain:
             cluster->post(ev.at, [this, ev] {
                 const auto idx = static_cast<std::size_t>(ev.engine);
-                if (engines_[idx]->failed() || engines_[idx]->draining())
+                if (!accepts_work(idx))
                     return;
                 ++overload_stats_.drains;
-                obs::MetricsRegistry::current().counter_add(
-                    "shiftpar_fault_transitions_total", 1,
-                    {{"kind", "drain"}});
                 const auto handed = engines_[idx]->start_drain(ev.at);
                 overload_stats_.drained +=
                     static_cast<std::int64_t>(handed.size());
@@ -364,8 +355,9 @@ Router::arm_faults(sim::Cluster* cluster)
                     const auto resume_at = ev.recover_at;
                     active_cluster_->post(resume_at, [this, idx,
                                                       resume_at] {
-                        // A fail-stop may have ended the drain first.
-                        if (!engines_[idx]->draining())
+                        // A fail-stop may have ended the drain first (a
+                        // failed engine is never draining).
+                        if (engines_[idx]->failed() || accepts_work(idx))
                             return;
                         ++overload_stats_.drain_resumes;
                         engines_[idx]->resume_admission(resume_at);
@@ -376,9 +368,6 @@ Router::arm_faults(sim::Cluster* cluster)
           case fault::FaultKind::kDegrade:
             cluster->post(ev.at, [this, ev] {
                 ++fault_stats_.degrades;
-                obs::MetricsRegistry::current().counter_add(
-                    "shiftpar_fault_transitions_total", 1,
-                    {{"kind", "degrade"}});
                 const std::size_t n = engines_.size();
                 for (std::size_t i = 0; i < n; ++i) {
                     if (ev.engine >= 0 &&
@@ -475,7 +464,33 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
         e->set_on_expire(nullptr);
     }
     assert_conservation(sorted.size());
+    publish_fault_counters();
     return merged_metrics();
+}
+
+void
+Router::publish_fault_counters() const
+{
+    using Series = std::pair<const char*, std::int64_t>;
+    const fault::FaultStats& f = fault_stats_;
+    const Series requests[] = {{"shed", f.shed}, {"lost", f.lost},
+                               {"retried", f.retries},
+                               {"dropped", f.dropped}};
+    const Series transitions[] = {
+        {"failure", f.failures},   {"recovery", f.recoveries},
+        {"straggle", f.straggles}, {"degrade", f.degrades},
+        {"drain", overload_stats_.drains}};
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::current();
+    for (const auto& [outcome, n] : requests) {
+        if (n != 0)
+            reg.counter_add("shiftpar_fault_requests_total", n,
+                            {{"outcome", outcome}});
+    }
+    for (const auto& [kind, n] : transitions) {
+        if (n != 0)
+            reg.counter_add("shiftpar_fault_transitions_total", n,
+                            {{"kind", kind}});
+    }
 }
 
 void
@@ -633,18 +648,9 @@ Router::maybe_hedge(const RequestSpec& spec, RequestId id, double when)
     if (overload_.breaker.enabled)
         update_breakers(when);
     // Least-loaded other replica that can take the clone.
-    std::size_t target = engines_.size();
-    std::int64_t best_load = 0;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        if (i == holder || engines_[i]->failed() ||
-            engines_[i]->draining() || breaker_excludes(i))
-            continue;
-        const std::int64_t load = engines_[i]->outstanding_tokens();
-        if (target == engines_.size() || load < best_load) {
-            target = i;
-            best_load = load;
-        }
-    }
+    const std::size_t target = least_loaded([&](std::size_t i) {
+        return i != holder && accepts_work(i) && !breaker_excludes(i);
+    });
     if (target == engines_.size())
         return;
     for (auto& e : engines_)

@@ -201,9 +201,26 @@ class Router
 
   private:
     /**
-     * Pick the replica for the next request, skipping failed ones.
+     * The one replica-eligibility rule: replica `i` may receive work
+     * (routing, retries, drain hand-backs, migrations, hedges) while it
+     * is up and not draining.
+     */
+    bool accepts_work(std::size_t i) const;
+
+    /**
+     * The one load scan: among replicas `i` with `pred(i)`, the one with
+     * the fewest outstanding tokens, lowest index on ties.
      *
-     * @return the replica index, or `size()` when every replica is down.
+     * @return the replica index, or `size()` when none qualifies.
+     */
+    template <class Pred>
+    std::size_t least_loaded(Pred pred) const;
+
+    /**
+     * Pick the replica for the next request among those that accept
+     * work.
+     *
+     * @return the replica index, or `size()` when none accepts work.
      */
     std::size_t select_replica();
 
@@ -310,6 +327,12 @@ class Router
 
     /** Bump `shiftpar_request_outcome_total{outcome=...}`. */
     void count_outcome(const char* outcome, std::int64_t n = 1) const;
+
+    /**
+     * Add the replay's nonzero fault counters (`FaultStats` plus drains)
+     * to `shiftpar_fault_requests_total` / `_transitions_total`.
+     */
+    void publish_fault_counters() const;
 
     /** Feed one completion into replica `idx`'s breaker; trip/close. */
     void record_breaker_sample(std::size_t idx, const Request& r);

@@ -95,8 +95,7 @@ Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
                     return true;
                 });
             }
-            cache_->release(victim->id);
-            detach_prefix_if_attached(victim);
+            release_state(victim);
             victim->reset_for_recompute();
             running_.erase(std::next(it).base());
             insert_waiting(victim, /*front_of_class=*/true);
@@ -257,69 +256,65 @@ Scheduler::schedule(double now)
     return plan;
 }
 
+template <class Pred>
+std::vector<Request*>
+Scheduler::evict_if(Pred pred, bool running, RequestState to_state)
+{
+    std::vector<Request*> evicted;
+    const auto take = [&](Request* r) {
+        if (!pred(r))
+            return false;
+        evicted.push_back(r);
+        return true;
+    };
+    if (running)
+        std::erase_if(running_, take);
+    // Waiting requests can hold state too: a schedule() pass attaches a
+    // prefix (and may fill it) before admission succeeds, so a request
+    // blocked at the admission gate keeps its attachment in the queue.
+    std::erase_if(waiting_, take);
+    for (Request* r : evicted) {
+        release_state(r);
+        r->state = to_state;
+    }
+    return evicted;
+}
+
+void
+Scheduler::release_state(Request* r)
+{
+    cache_->release(r->id);
+    if (!r->prefix_attached)
+        return;
+    cache_->detach_prefix(r->spec.prefix_id);
+    r->prefix_attached = false;
+    r->filling_prefix = false;
+}
+
 bool
 Scheduler::cancel(Request* r)
 {
-    SP_ASSERT(r != nullptr);
-    // Dead states sit in no queue: finished/cancelled are terminal,
-    // migrated/lost/expired copies were already pulled out (and the
-    // same id may live on elsewhere — a retry, the other hedge copy).
-    if (r->state == RequestState::kFinished ||
-        r->state == RequestState::kCancelled ||
-        r->state == RequestState::kMigrated ||
-        r->state == RequestState::kLost ||
-        r->state == RequestState::kExpired)
-        return false;
-    if (r->state == RequestState::kWaiting) {
-        const auto it = std::find(waiting_.begin(), waiting_.end(), r);
-        SP_ASSERT(it != waiting_.end(), "waiting request not in queue");
-        waiting_.erase(it);
-    } else {
-        const auto it = std::find(running_.begin(), running_.end(), r);
-        SP_ASSERT(it != running_.end(), "running request not in queue");
-        running_.erase(it);
-    }
-    cache_->release(r->id);
-    detach_prefix_if_attached(r);
-    r->state = RequestState::kCancelled;
-    return true;
+    // Dead copies sit in no queue, so nothing matches them: finished and
+    // cancelled are terminal, migrated/lost/expired ones were already
+    // pulled out (and the same id may live on elsewhere — a retry, the
+    // other hedge copy).
+    return !evict_if([r](const Request* x) { return x == r; },
+                     /*running=*/true, RequestState::kCancelled)
+                .empty();
 }
 
 std::vector<Request*>
 Scheduler::expire_due(double now)
 {
-    std::vector<Request*> expired;
     if (!has_deadlines_)
-        return expired;
-    auto due = [&](const Request* r) {
-        return r->spec.deadline > 0.0 && r->spec.deadline <= now;
-    };
-    for (auto it = running_.begin(); it != running_.end();) {
-        Request* r = *it;
-        if (!due(r)) {
-            ++it;
-            continue;
-        }
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        it = running_.erase(it);
-        expired.push_back(r);
-    }
-    for (auto it = waiting_.begin(); it != waiting_.end();) {
-        Request* r = *it;
-        if (!due(r)) {
-            ++it;
-            continue;
-        }
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        it = waiting_.erase(it);
-        expired.push_back(r);
-    }
-    for (Request* r : expired) {
-        r->state = RequestState::kExpired;
+        return {};
+    auto expired = evict_if(
+        [now](const Request* r) {
+            return r->spec.deadline > 0.0 && r->spec.deadline <= now;
+        },
+        /*running=*/true, RequestState::kExpired);
+    for (Request* r : expired)
         publish(r, obs::RequestPhase::kExpired, now);
-    }
     return expired;
 }
 
@@ -341,68 +336,41 @@ Scheduler::earliest_deadline() const
 std::vector<Request*>
 Scheduler::drain_waiting()
 {
-    std::vector<Request*> removed;
-    removed.reserve(waiting_.size());
-    // A waiting request can hold cache state (prefix attached at the
-    // admission gate); release it here so it re-enters another replica
-    // clean, same as fail_all().
-    for (Request* r : waiting_) {
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        r->state = RequestState::kMigrated;
-        removed.push_back(r);
-    }
-    waiting_.clear();
-    return removed;
+    return evict_if([](const Request*) { return true; }, /*running=*/false,
+                    RequestState::kMigrated);
 }
 
 std::vector<Request*>
 Scheduler::fail_all()
 {
-    std::vector<Request*> dropped;
-    dropped.reserve(running_.size() + waiting_.size());
-    for (Request* r : running_) {
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        dropped.push_back(r);
-    }
-    running_.clear();
-    // Waiting requests can hold KV too: a schedule() pass attaches a
-    // prefix (and may fill it) before admission succeeds, so a request
-    // blocked at the admission gate keeps its attachment in the queue.
-    for (Request* r : waiting_) {
-        cache_->release(r->id);
-        detach_prefix_if_attached(r);
-        dropped.push_back(r);
-    }
-    waiting_.clear();
-    for (Request* r : dropped)
-        r->state = RequestState::kLost;
-    return dropped;
+    return evict_if([](const Request*) { return true; }, /*running=*/true,
+                    RequestState::kLost);
 }
 
 Request*
 Scheduler::steal_waiting(double now, std::int64_t max_tokens)
 {
-    for (auto it = waiting_.rbegin(); it != waiting_.rend(); ++it) {
-        Request* r = *it;
-        // Only zero-progress requests move: anything scheduled before
-        // (even if later preempted) or holding prefilled/prefix state has
-        // sunk work into this engine that migration would discard, and
-        // migrated-in prefilled requests (disaggregated decode) own KV
-        // that lives on this pool. Scanning from the back moves the
-        // youngest straggler: older requests keep their admission slot on
-        // the donor, and the young one restarts at zero cost elsewhere.
-        if (r->spec.arrival > now || r->first_scheduled >= 0.0 ||
-            r->prefilled > 0 || r->prefix_attached || r->migrated_in)
-            continue;
-        if (r->spec.prompt_tokens + r->spec.output_tokens > max_tokens)
-            continue;
-        waiting_.erase(std::next(it).base());
-        r->state = RequestState::kMigrated;
-        return r;
-    }
-    return nullptr;
+    // Only zero-progress requests move: anything scheduled before (even
+    // if later preempted) or holding prefilled/prefix state has sunk work
+    // into this engine that migration would discard, and migrated-in
+    // prefilled requests (disaggregated decode) own KV that lives on this
+    // pool. Scanning from the back moves the youngest straggler: older
+    // requests keep their admission slot on the donor, and the young one
+    // restarts at zero cost elsewhere.
+    const auto it = std::find_if(
+        waiting_.rbegin(), waiting_.rend(), [&](const Request* r) {
+            return r->spec.arrival <= now && r->first_scheduled < 0.0 &&
+                   r->prefilled == 0 && !r->prefix_attached &&
+                   !r->migrated_in &&
+                   r->spec.prompt_tokens + r->spec.output_tokens <=
+                       max_tokens;
+        });
+    if (it == waiting_.rend())
+        return nullptr;
+    Request* victim = *it;
+    evict_if([victim](const Request* r) { return r == victim; },
+             /*running=*/false, RequestState::kMigrated);
+    return victim;
 }
 
 void
@@ -428,16 +396,6 @@ Scheduler::attach_prefix_if_needed(Request* r)
     r->prefix_filled = attach.hit_tokens;
     r->filling_prefix = attach.is_filler;
     r->prefilled = attach.hit_tokens;
-}
-
-void
-Scheduler::detach_prefix_if_attached(Request* r)
-{
-    if (!r->prefix_attached)
-        return;
-    cache_->detach_prefix(r->spec.prefix_id);
-    r->prefix_attached = false;
-    r->filling_prefix = false;
 }
 
 std::int64_t
@@ -503,8 +461,7 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
         if (r->done()) {
             r->state = RequestState::kFinished;
             r->finished = now;
-            cache_->release(r->id);
-            detach_prefix_if_attached(r);
+            release_state(r);
             running_.erase(std::find(running_.begin(), running_.end(), r));
             finished->push_back(r);
             publish(r, obs::RequestPhase::kFinish, now,

@@ -225,8 +225,20 @@ class Scheduler
     /** Pin `r` to its shared prefix entry and apply the cache hit. */
     void attach_prefix_if_needed(Request* r);
 
-    /** Unpin `r` from its prefix entry (finish or preemption). */
-    void detach_prefix_if_attached(Request* r);
+    /**
+     * The one way out of the queues (cancel, expire, drain, fail,
+     * steal): remove every request matching `pred` — running ones first
+     * (admission order) when `running`, then waiting ones (queue order)
+     * — release its state, and set its state to `to_state`.
+     *
+     * @return the removed requests in removal order.
+     */
+    template <class Pred>
+    std::vector<Request*> evict_if(Pred pred, bool running,
+                                   RequestState to_state);
+
+    /** Release `r`'s KV blocks and unpin its shared prefix entry. */
+    void release_state(Request* r);
 
     /** Insert into the waiting queue by priority class. */
     void insert_waiting(Request* r, bool front_of_class);

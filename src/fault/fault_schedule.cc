@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -86,6 +87,12 @@ class Keys
         const double v = std::strtod(value.c_str(), &end);
         if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
             fatal("--faults: key '" + key + "' expects a number, got '" +
+                  value + "' in clause " + clause_);
+        }
+        // strtod also accepts nan/inf; none is a usable time, rate or
+        // factor (a permanent fault omits its end key instead).
+        if (!std::isfinite(v)) {
+            fatal("--faults: key '" + key + "' must be finite, got '" +
                   value + "' in clause " + clause_);
         }
         return v;

@@ -466,6 +466,23 @@ conservation_cases()
          [](const Router& r) { return r.fault_stats().dropped > 0; }},
         {"DrainFault", faulted("drain:engine=0,at=0.05,resume=0.5"),
          [](const Router& r) { return r.overload_stats().drained > 0; }},
+        // The rebalancer must never pick a draining replica as the
+        // receiver: only replicas that accept work may take a migration.
+        {"MigrationDuringDrain",
+         [] {
+             MigrationOptions mig;
+             mig.enabled = true;
+             mig.min_token_imbalance = 256;
+             auto r = std::make_unique<Router>(
+                 replicas(2, /*max_running=*/1), RoutingPolicy::kRoundRobin,
+                 mig);
+             r->set_faults(
+                 parse_fault_spec("drain:engine=0,at=0.05,resume=0.5"));
+             return r;
+         },
+         [](const Router& r) {
+             return r.overload_stats().drained > 0 && r.migration_count() > 0;
+         }},
         {"Shedding", faulted("fail:engine=0,at=0.05", shedding),
          [](const Router& r) { return r.fault_stats().shed > 0; }},
     };

@@ -133,6 +133,15 @@ TEST(FaultSpecDeath, MalformedSpecsNameTheOffendingToken)
                  "factor must be > 1");
     EXPECT_DEATH(parse_fault_spec("mtbf:mean=0,mttr=5,duration=10"),
                  "positive mean");
+    // strtod accepts nan/inf; each would hang materialize(), trip an RNG
+    // assert, or stall the replay, so they are rejected at the parser.
+    EXPECT_DEATH(parse_fault_spec("mtbf:mean=1,mttr=1,duration=inf"),
+                 "key 'duration' must be finite, got 'inf' in clause 1");
+    EXPECT_DEATH(parse_fault_spec("mtbf:mean=inf,mttr=1,duration=10"),
+                 "key 'mean' must be finite, got 'inf' in clause 1");
+    EXPECT_DEATH(
+        parse_fault_spec("straggle:engine=0,at=5,until=15,slow=inf"),
+        "key 'slow' must be finite, got 'inf' in clause 1");
 }
 
 // ----------------------------------------------------------- materialize
