@@ -130,7 +130,8 @@ main(int argc, char** argv)
         auto router = two_nodes(strategy, migration);
         const auto met = router->run_workload(reqs);
         migrations[i] = router->migration_count();
-        bench::record_run(name, met);
+        bench::record_run(name, met, router->fault_stats(),
+                          router->overload_stats());
         return bench::SweepCommit([&, &name = systems[i].name, met] {
             table.add_row({name,
                            Table::fmt(to_ms(met.ttft().percentile(50))),

@@ -190,7 +190,8 @@ main(int argc, char** argv)
                   os.completed, " completed + ", os.expired, " expired + ",
                   os.cancelled, " cancelled + ", fs.lost, " lost + ",
                   fs.shed, " shed");
-        bench::record_run("x" + Table::fmt(f, 0) + " " + st.name, met);
+        bench::record_run("x" + Table::fmt(f, 0) + " " + st.name, met, fs,
+                          os);
         return bench::SweepCommit([&table, &csv, &st, f, met, os, fs,
                                    submitted, slo] {
             table.add_row(

@@ -169,7 +169,7 @@ main(int argc, char** argv)
                   "request accounting leak: ", submitted, " submitted vs ",
                   completed, " completed + ", fs.lost, " lost + ", fs.shed,
                   " shed");
-        bench::record_run(sys.name + " mtbf=" + sc.name, met);
+        bench::record_run(sys.name + " mtbf=" + sc.name, met, fs);
         return bench::SweepCommit([&, &sys = systems[i / scenarios.size()],
                                    &sc = scenarios[i % scenarios.size()],
                                    met, fs, completed] {

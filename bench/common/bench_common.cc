@@ -214,10 +214,12 @@ report()
 }
 
 void
-record_run(const std::string& name, const engine::Metrics& metrics)
+record_run(const std::string& name, const engine::Metrics& metrics,
+           const fault::FaultStats& faults,
+           const engine::OverloadStats& overload)
 {
     if (obs_state().report_enabled)
-        report().add_run(name, metrics);
+        report().add_run(name, metrics, {}, {}, faults, overload);
 }
 
 void
@@ -281,8 +283,8 @@ run_deployment_named(const std::string& name, const core::Deployment& d,
     RunResult result;
     result.name = name;
     result.resolved = core::resolve(traced);
-    result.metrics =
-        core::build(traced, result.resolved)->run_workload(workload);
+    const auto router = core::build(traced, result.resolved);
+    result.metrics = router->run_workload(workload);
     if (o.profile)
         record_profile(prof);
     if (o.report_enabled) {
@@ -296,7 +298,8 @@ run_deployment_named(const std::string& name, const core::Deployment& d,
             info.cost_model =
                 model::cost_model_kind_name(result.resolved.cost_kind);
         }
-        report().add_run(name, result.metrics, info);
+        report().add_run(name, result.metrics, info, {},
+                         router->fault_stats(), router->overload_stats());
     }
     return result;
 }

@@ -73,9 +73,14 @@ obs::ReportJson& report();
 
 /**
  * Record a run performed outside `run_deployment_named` (disaggregated
- * systems, hand-built engines) into the shared report.
+ * systems, hand-built engines) into the shared report. Pass the router's
+ * `fault_stats()`/`overload_stats()` when the replay injected faults or
+ * ran request-lifecycle features; non-zero counters become the run's
+ * "faults"/"overload" blocks.
  */
-void record_run(const std::string& name, const engine::Metrics& metrics);
+void record_run(const std::string& name, const engine::Metrics& metrics,
+                const fault::FaultStats& faults = {},
+                const engine::OverloadStats& overload = {});
 
 /**
  * Label the next run in the shared trace (engines registered afterwards

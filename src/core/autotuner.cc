@@ -113,7 +113,7 @@ AutoTuner::tune(const std::vector<engine::RequestSpec>& sample,
         r.resolved = resolve(d);
         const engine::Metrics met = run_deployment(d, sample);
         r.mean_completion = met.completion().mean();
-        r.ttft_p99 = met.ttft().percentile(99);
+        r.ttft_p99 = met.ttft().summary().p99;
         r.throughput = met.mean_throughput();
         std::ostringstream name;
         name << parallel::strategy_name(d.strategy) << " "

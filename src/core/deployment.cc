@@ -190,41 +190,4 @@ run_deployment(const Deployment& d,
     return router->run_workload(workload);
 }
 
-engine::Metrics
-run_deployment(const Deployment& d,
-               const std::vector<engine::RequestSpec>& workload,
-               obs::ReportJson* report, const std::string& run_name)
-{
-    // Resolve once and reuse for both the build and the report record:
-    // resolving is pure but not free (memory planning + threshold
-    // auto-tuning), and sweep workers call this concurrently.
-    const ResolvedDeployment r = resolve(d);
-    auto router = build(d, r);
-    engine::Metrics m = router->run_workload(workload);
-    if (report) {
-        obs::RunDeploymentInfo info;
-        info.description = r.describe();
-        info.sp = r.base.sp;
-        info.tp = r.base.tp;
-        info.replicas = r.replicas;
-        info.shift_threshold = r.shift_threshold;
-        // Recorded only off the default; the writer skips the empty
-        // string, so roofline reports keep their exact bytes.
-        if (r.cost_kind != model::CostModelKind::kRoofline)
-            info.cost_model = model::cost_model_kind_name(r.cost_kind);
-        // Fault counters are recorded only when the replay actually
-        // injected something, so fault-free reports stay byte-identical.
-        std::optional<fault::FaultStats> faults;
-        if (router->fault_stats().any())
-            faults = router->fault_stats();
-        // Same rule for lifecycle counters: absent unless the run saw an
-        // expiry, a cancel, a hedge, breaker activity, or a drain.
-        std::optional<engine::OverloadStats> overload;
-        if (router->overload_stats().any())
-            overload = router->overload_stats();
-        report->add_run(run_name, m, info, {}, faults, overload);
-    }
-    return m;
-}
-
 } // namespace shiftpar::core

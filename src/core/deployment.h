@@ -31,7 +31,6 @@
 #include "engine/router.h"
 #include "hw/presets.h"
 #include "model/model_config.h"
-#include "obs/report_json.h"
 #include "obs/trace.h"
 #include "parallel/cost_model_factory.h"
 #include "parallel/strategy.h"
@@ -176,15 +175,5 @@ std::unique_ptr<engine::Router> build(const Deployment& d,
 /** Convenience: build, replay `workload`, and return merged metrics. */
 engine::Metrics run_deployment(const Deployment& d,
                                const std::vector<engine::RequestSpec>& workload);
-
-/**
- * As above, and additionally record the run — resolved deployment plan plus
- * merged metrics — into `report` under `run_name` (no-op when `report` is
- * null).
- */
-engine::Metrics run_deployment(const Deployment& d,
-                               const std::vector<engine::RequestSpec>& workload,
-                               obs::ReportJson* report,
-                               const std::string& run_name);
 
 } // namespace shiftpar::core

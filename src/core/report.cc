@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "obs/report_json.h"
 #include "util/ascii_plot.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -12,44 +13,38 @@ std::string
 format_report(const ResolvedDeployment& deployment,
               const engine::Metrics& metrics, const ReportOptions& opts)
 {
+    const obs::RunSummary run = obs::summarize_run(metrics, opts.slo);
     std::ostringstream os;
     os << "deployment: " << deployment.describe() << "\n";
 
     Table table({"metric", "p50", "p90", "p99", "mean"});
-    const auto row = [&](const char* name, const util::Histogram& s,
+    const auto row = [&](const char* name, const util::HistogramSummary& h,
                          double scale, int prec) {
-        table.add_row({name, Table::fmt(s.percentile(50) * scale, prec),
-                       Table::fmt(s.percentile(90) * scale, prec),
-                       Table::fmt(s.percentile(99) * scale, prec),
-                       Table::fmt(s.mean() * scale, prec)});
+        table.add_row({name, Table::fmt(h.p50 * scale, prec),
+                       Table::fmt(h.p90 * scale, prec),
+                       Table::fmt(h.p99 * scale, prec),
+                       Table::fmt(h.mean * scale, prec)});
     };
-    row("TTFT (ms)", metrics.ttft(), 1e3, 1);
-    row("TPOT (ms)", metrics.tpot(), 1e3, 2);
-    row("completion (s)", metrics.completion(), 1.0, 2);
-    row("queue wait (s)", metrics.wait(), 1.0, 2);
+    row("TTFT (ms)", run.ttft, 1e3, 1);
+    row("TPOT (ms)", run.tpot, 1e3, 2);
+    row("completion (s)", run.completion, 1.0, 2);
+    row("queue wait (s)", run.wait, 1.0, 2);
     os << table.render();
 
     os << "throughput: "
-       << Table::fmt_count(
-              static_cast<long long>(metrics.mean_throughput()))
+       << Table::fmt_count(static_cast<long long>(run.mean_throughput))
        << " tok/s mean, "
-       << Table::fmt_count(
-              static_cast<long long>(metrics.throughput().peak_rate()))
-       << " tok/s peak over "
-       << Table::fmt(metrics.end_time(), 1) << " s\n";
-    os << "steps: "
-       << Table::fmt_count(metrics.sp_steps() + metrics.tp_steps())
-       << " total (" << Table::fmt_count(metrics.sp_steps())
-       << " base/SP mode, " << Table::fmt_count(metrics.tp_steps())
-       << " shift/TP mode)\n";
+       << Table::fmt_count(static_cast<long long>(run.peak_throughput))
+       << " tok/s peak over " << Table::fmt(run.duration, 1) << " s\n";
+    os << "steps: " << Table::fmt_count(run.sp_steps + run.tp_steps)
+       << " total (" << Table::fmt_count(run.sp_steps) << " base/SP mode, "
+       << Table::fmt_count(run.tp_steps) << " shift/TP mode)\n";
 
-    if (opts.slo) {
-        os << "SLO (TTFT<=" << Table::fmt(opts.slo->ttft, 2) << "s, TPOT<="
-           << Table::fmt(to_ms(opts.slo->tpot), 0) << "ms): "
-           << Table::fmt(100.0 * metrics.slo_attainment(*opts.slo), 1)
-           << "% attainment, "
-           << Table::fmt_count(
-                  static_cast<long long>(metrics.goodput(*opts.slo)))
+    if (run.slo) {
+        os << "SLO (TTFT<=" << Table::fmt(run.slo->ttft, 2) << "s, TPOT<="
+           << Table::fmt(to_ms(run.slo->tpot), 0) << "ms): "
+           << Table::fmt(100.0 * run.slo_attainment, 1) << "% attainment, "
+           << Table::fmt_count(static_cast<long long>(run.goodput))
            << " tok/s goodput\n";
     }
 

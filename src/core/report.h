@@ -1,7 +1,7 @@
 /**
  * @file
- * Run-report formatting: one call turning (deployment, metrics) into the
- * latency/throughput summary every example and experiment prints.
+ * Run-report formatting: one call rendering a run's `obs::RunSummary` as
+ * the latency/throughput text every example and experiment prints.
  */
 
 #pragma once
@@ -30,7 +30,10 @@ struct ReportOptions
 /**
  * Format the standard run report: deployment line, latency percentile
  * table (TTFT / TPOT / completion / wait), throughput and step-mode
- * counts, optional SLO section and timeline.
+ * counts, optional SLO section and timeline. Every number is read from
+ * `obs::summarize_run(metrics, opts.slo)` — the record the JSON run report
+ * writes — so the text and JSON reports of a run agree; only the timeline
+ * reads the throughput bins directly.
  */
 std::string format_report(const ResolvedDeployment& deployment,
                           const engine::Metrics& metrics,

@@ -163,20 +163,8 @@ MetricsRegistry::snapshot() const
     for (const auto& [key, value] : gauges_)
         snap.gauges.push_back({key.first, key.second, value});
     snap.histograms.reserve(histograms_.size());
-    for (const auto& [key, hist] : histograms_) {
-        MetricsSnapshot::HistogramSummary s;
-        s.name = key.first;
-        s.labels = key.second;
-        s.count = static_cast<std::int64_t>(hist.count());
-        s.sum = hist.sum();
-        s.mean = hist.mean();
-        s.min = hist.min();
-        s.max = hist.max();
-        s.p50 = hist.percentile(50);
-        s.p90 = hist.percentile(90);
-        s.p99 = hist.percentile(99);
-        snap.histograms.push_back(std::move(s));
-    }
+    for (const auto& [key, hist] : histograms_)
+        snap.histograms.push_back({hist.summary(), key.first, key.second});
     return snap;
 }
 

@@ -61,18 +61,11 @@ struct MetricsSnapshot
         double value = 0.0;
     };
 
-    struct HistogramSummary
+    /** One named histogram's `util::Histogram::summary()`. */
+    struct HistogramSummary : util::HistogramSummary
     {
         std::string name;
         MetricLabels labels;
-        std::int64_t count = 0;
-        double sum = 0.0;
-        double mean = 0.0;
-        double min = 0.0;
-        double max = 0.0;
-        double p50 = 0.0;
-        double p90 = 0.0;
-        double p99 = 0.0;
     };
 
     std::vector<Counter> counters;

@@ -8,51 +8,48 @@
 
 namespace shiftpar::obs {
 
+RunSummary
+summarize_run(const engine::Metrics& metrics,
+              const std::optional<engine::SloSpec>& slo)
+{
+    RunSummary s;
+    s.requests = static_cast<std::int64_t>(metrics.requests().size());
+    s.total_tokens = metrics.total_tokens();
+    s.duration = metrics.end_time();
+    s.mean_throughput = metrics.mean_throughput();
+    s.peak_throughput = metrics.throughput().peak_rate();
+    s.sp_steps = metrics.sp_steps();
+    s.tp_steps = metrics.tp_steps();
+    for (const auto& rec : metrics.requests())
+        s.preemptions += rec.preemptions;
+    s.ttft = metrics.ttft().summary();
+    s.tpot = metrics.tpot().summary();
+    s.completion = metrics.completion().summary();
+    s.wait = metrics.wait().summary();
+    s.slo = slo;
+    if (slo) {
+        s.slo_attainment = metrics.slo_attainment(*slo);
+        s.goodput = metrics.goodput(*slo);
+    }
+    return s;
+}
+
 ReportJson::ReportJson(std::string title) : title_(std::move(title)) {}
 
 void
 ReportJson::add_run(const std::string& name, const engine::Metrics& metrics,
                     const std::optional<RunDeploymentInfo>& deployment,
                     const std::optional<engine::SloSpec>& slo,
-                    const std::optional<fault::FaultStats>& faults,
-                    const std::optional<engine::OverloadStats>& overload)
+                    const fault::FaultStats& faults,
+                    const engine::OverloadStats& overload)
 {
-    Run run;
-    run.name = name;
-    run.deployment = deployment;
-    run.requests = static_cast<std::int64_t>(metrics.requests().size());
-    run.total_tokens = metrics.total_tokens();
-    run.duration = metrics.end_time();
-    run.mean_throughput = metrics.mean_throughput();
-    run.peak_throughput = metrics.throughput().peak_rate();
-    run.sp_steps = metrics.sp_steps();
-    run.tp_steps = metrics.tp_steps();
-    for (const auto& rec : metrics.requests())
-        run.preemptions += rec.preemptions;
-
-    const auto summarize = [](const util::Histogram& h) {
-        LatencySummary s;
-        s.p50 = h.percentile(50);
-        s.p90 = h.percentile(90);
-        s.p99 = h.percentile(99);
-        s.mean = h.mean();
-        s.min = h.min();
-        s.max = h.max();
-        s.count = static_cast<std::int64_t>(h.count());
-        return s;
-    };
-    run.ttft = summarize(metrics.ttft());
-    run.tpot = summarize(metrics.tpot());
-    run.completion = summarize(metrics.completion());
-    run.wait = summarize(metrics.wait());
-
-    run.slo = slo;
-    if (slo) {
-        run.slo_attainment = metrics.slo_attainment(*slo);
-        run.goodput = metrics.goodput(*slo);
-    }
-    run.faults = faults;
-    run.overload = overload;
+    Run run{name, deployment, summarize_run(metrics, slo), {}, {}};
+    // Blocks appear only when the replay actually injected a fault or
+    // exercised a lifecycle feature, so quiet runs keep their exact bytes.
+    if (faults.any())
+        run.faults = faults;
+    if (overload.any())
+        run.overload = overload;
     std::lock_guard<std::mutex> lock(mutex_);
     runs_.push_back(std::move(run));
 }
@@ -103,34 +100,35 @@ ReportJson::write(std::ostream& os) const
         } else {
             w.null();
         }
+        const RunSummary& m = run.summary;
         w.key("metrics").begin_object();
-        w.kv("requests", run.requests);
-        w.kv("total_tokens", run.total_tokens);
-        w.kv("duration_s", run.duration);
-        w.kv("mean_throughput_tok_s", run.mean_throughput);
-        w.kv("peak_throughput_tok_s", run.peak_throughput);
-        w.kv("sp_steps", run.sp_steps);
-        w.kv("tp_steps", run.tp_steps);
-        w.kv("preemptions", run.preemptions);
+        w.kv("requests", m.requests);
+        w.kv("total_tokens", m.total_tokens);
+        w.kv("duration_s", m.duration);
+        w.kv("mean_throughput_tok_s", m.mean_throughput);
+        w.kv("peak_throughput_tok_s", m.peak_throughput);
+        w.kv("sp_steps", m.sp_steps);
+        w.kv("tp_steps", m.tp_steps);
+        w.kv("preemptions", m.preemptions);
         const auto latency = [&](const char* key,
-                                 const LatencySummary& s) {
+                                 const util::HistogramSummary& h) {
             w.key(key).begin_object();
-            w.kv("p50", s.p50).kv("p90", s.p90).kv("p99", s.p99);
-            w.kv("mean", s.mean).kv("min", s.min).kv("max", s.max);
-            w.kv("count", s.count);
+            w.kv("p50", h.p50).kv("p90", h.p90).kv("p99", h.p99);
+            w.kv("mean", h.mean).kv("min", h.min).kv("max", h.max);
+            w.kv("count", h.count);
             w.end_object();
         };
-        latency("ttft_s", run.ttft);
-        latency("tpot_s", run.tpot);
-        latency("completion_s", run.completion);
-        latency("wait_s", run.wait);
+        latency("ttft_s", m.ttft);
+        latency("tpot_s", m.tpot);
+        latency("completion_s", m.completion);
+        latency("wait_s", m.wait);
         w.key("slo");
-        if (run.slo) {
+        if (m.slo) {
             w.begin_object();
-            w.kv("ttft_s", run.slo->ttft);
-            w.kv("tpot_s", run.slo->tpot);
-            w.kv("attainment", run.slo_attainment);
-            w.kv("goodput_tok_s", run.goodput);
+            w.kv("ttft_s", m.slo->ttft);
+            w.kv("tpot_s", m.slo->tpot);
+            w.kv("attainment", m.slo_attainment);
+            w.kv("goodput_tok_s", m.goodput);
             w.end_object();
         } else {
             w.null();

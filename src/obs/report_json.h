@@ -2,11 +2,10 @@
  * @file
  * Machine-readable JSON run reports.
  *
- * Every experiment driver (the `bench_*` binaries, `core::run_deployment`,
- * the examples) previously printed ad-hoc tables and per-figure CSVs;
- * `ReportJson` gives them one schema-versioned document that
- * `tools/plot_results.py` (and any external analysis) can consume without
- * per-figure parsing code.
+ * Every experiment driver (the `bench_*` binaries, perfbench) records its
+ * runs into one schema-versioned document that `tools/plot_results.py`
+ * (and any external analysis) can consume without per-figure parsing
+ * code.
  *
  * Schema (`shiftpar.run_report`, version 1):
  *
@@ -19,7 +18,7 @@
  *       "name": "<series name, e.g. strategy>",
  *       "deployment": {"description": "...", "sp": 4, "tp": 2,
  *                      "replicas": 1, "shift_threshold": 1536},
- *       "metrics": {
+ *       "metrics": {                 // the run's RunSummary
  *         "requests": N, "total_tokens": N, "duration_s": T,
  *         "mean_throughput_tok_s": R, "peak_throughput_tok_s": R,
  *         "sp_steps": N, "tp_steps": N, "preemptions": null | N,
@@ -36,11 +35,14 @@
  *   ]
  * }
  *
- * The "faults" key is emitted only for runs recorded with fault stats
- * (still version 1: purely additive, absent for every pre-existing
- * producer, so committed reports stay byte-identical). The "overload" key
- * follows the same rule for request-lifecycle runs (deadlines, client
- * cancellation, hedged retries, circuit breakers, graceful drain):
+ * The "faults" key is emitted only for runs whose replay counted a fault
+ * (`FaultStats::any()`): the bench drivers pass the router's
+ * `fault_stats()` for every deployment they run, and `add_run` drops
+ * all-zero counters, so fault-free runs keep their exact bytes (still
+ * version 1: purely additive). The "overload" key follows the same rule
+ * (`OverloadStats::any()`, from the router's `overload_stats()`) for
+ * request-lifecycle runs (deadlines, client cancellation, hedged retries,
+ * circuit breakers, graceful drain):
  *
  *       "overload": {"completed": N, "expired": N, "cancelled": N,
  *                    "hedges": N, "hedge_wins": N, "hedge_losses": N,
@@ -75,6 +77,7 @@
 #include "engine/overload.h"
 #include "fault/fault_schedule.h"
 #include "obs/metrics_registry.h"
+#include "util/histogram.h"
 
 namespace shiftpar::obs {
 
@@ -100,6 +103,33 @@ struct RunDeploymentInfo
      */
     std::string cost_model;
 };
+
+/**
+ * The numbers one run is reported by: its size, throughput, step-mode
+ * split, latency distributions and optional SLO outcome. Built only by
+ * `summarize_run`; the JSON "metrics" block and the text report
+ * (`core::format_report`) both render this record, so they cannot
+ * disagree.
+ */
+struct RunSummary
+{
+    std::int64_t requests = 0;
+    std::int64_t total_tokens = 0;
+    double duration = 0.0;
+    double mean_throughput = 0.0;
+    double peak_throughput = 0.0;
+    std::int64_t sp_steps = 0;
+    std::int64_t tp_steps = 0;
+    std::int64_t preemptions = 0;
+    util::HistogramSummary ttft, tpot, completion, wait;
+    std::optional<engine::SloSpec> slo;
+    double slo_attainment = 0.0;  ///< 0 unless `slo` is set
+    double goodput = 0.0;         ///< tok/s; 0 unless `slo` is set
+};
+
+/** Summarize a run's merged metrics, evaluating `slo` when given. */
+RunSummary summarize_run(const engine::Metrics& metrics,
+                         const std::optional<engine::SloSpec>& slo = {});
 
 /**
  * Accumulates named runs and serializes the report document.
@@ -129,15 +159,16 @@ class ReportJson
      * @param metrics The run's merged metrics.
      * @param deployment Optional resolved-deployment facts.
      * @param slo Optional SLO to evaluate attainment/goodput against.
-     * @param faults Optional fault-replay counters (fault-injected runs).
-     * @param overload Optional request-lifecycle counters (runs with
-     *        deadlines, cancellation, hedging, breakers, or drains).
+     * @param faults The replay's fault counters; the run carries a
+     *        "faults" block only when one of them is non-zero.
+     * @param overload The replay's request-lifecycle counters; an
+     *        "overload" block only when `overload.any()`.
      */
     void add_run(const std::string& name, const engine::Metrics& metrics,
                  const std::optional<RunDeploymentInfo>& deployment = {},
                  const std::optional<engine::SloSpec>& slo = {},
-                 const std::optional<fault::FaultStats>& faults = {},
-                 const std::optional<engine::OverloadStats>& overload = {});
+                 const fault::FaultStats& faults = {},
+                 const engine::OverloadStats& overload = {});
 
     /**
      * Move every run of `other` to the end of this report, preserving
@@ -169,29 +200,11 @@ class ReportJson
     void write_file(const std::string& path) const;
 
   private:
-    struct LatencySummary
-    {
-        double p50 = 0.0, p90 = 0.0, p99 = 0.0;
-        double mean = 0.0, min = 0.0, max = 0.0;
-        std::int64_t count = 0;
-    };
-
     struct Run
     {
         std::string name;
         std::optional<RunDeploymentInfo> deployment;
-        std::int64_t requests = 0;
-        std::int64_t total_tokens = 0;
-        double duration = 0.0;
-        double mean_throughput = 0.0;
-        double peak_throughput = 0.0;
-        std::int64_t sp_steps = 0;
-        std::int64_t tp_steps = 0;
-        std::int64_t preemptions = 0;
-        LatencySummary ttft, tpot, completion, wait;
-        std::optional<engine::SloSpec> slo;
-        double slo_attainment = 0.0;
-        double goodput = 0.0;
+        RunSummary summary;
         std::optional<fault::FaultStats> faults;
         std::optional<engine::OverloadStats> overload;
     };

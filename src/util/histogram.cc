@@ -141,4 +141,11 @@ Histogram::clear()
     max_ = 0.0;
 }
 
+HistogramSummary
+Histogram::summary() const
+{
+    return {static_cast<std::int64_t>(count_), sum(), mean(), min(), max(),
+            percentile(50), percentile(90), percentile(99)};
+}
+
 } // namespace shiftpar::util

@@ -23,6 +23,23 @@
 
 namespace shiftpar::util {
 
+/**
+ * Plain-data digest of a histogram: the exact moments plus the three
+ * quantiles every report prints. The run report's latency blocks, the
+ * text report's percentile table and the metrics snapshot all read it.
+ */
+struct HistogramSummary
+{
+    std::int64_t count = 0;
+    double sum = 0.0;
+    double mean = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    double p50 = 0.0;
+    double p90 = 0.0;
+    double p99 = 0.0;
+};
+
 /** Log-bucketed quantile sketch over non-negative samples. */
 class Histogram
 {
@@ -65,6 +82,9 @@ class Histogram
      *         (0 when empty). p=0 and p=100 return the exact min/max.
      */
     double percentile(double p) const;
+
+    /** @return count, moments and p50/p90/p99 in one record. */
+    HistogramSummary summary() const;
 
     /** @return the median (50th percentile). */
     double median() const { return percentile(50.0); }

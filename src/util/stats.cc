@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.h"
 
@@ -128,15 +127,6 @@ TimeSeries::peak_rate() const
     for (std::size_t i = 0; i < bins_.size(); ++i)
         peak = std::max(peak, rate(i));
     return peak;
-}
-
-std::string
-format_percentiles(const Summary& s)
-{
-    std::ostringstream os;
-    os << "p50=" << s.percentile(50) << " p90=" << s.percentile(90)
-       << " p99=" << s.percentile(99);
-    return os.str();
 }
 
 } // namespace shiftpar

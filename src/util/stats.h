@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace shiftpar {
@@ -117,8 +116,5 @@ class TimeSeries
     double bin_seconds_;
     std::vector<double> bins_;
 };
-
-/** Render "p50=.. p90=.. p99=.." for quick textual reports. */
-std::string format_percentiles(const Summary& s);
 
 } // namespace shiftpar

@@ -121,6 +121,8 @@ TEST(MetricsDeterminism, FaultedSweepReportAndExpositionMatchAcrossJobs)
     EXPECT_NE(j1.second.find("shiftpar_fault_requests_total"),
               std::string::npos);
     EXPECT_NE(j1.first.find("\"metrics\""), std::string::npos);
+    // ...and the run records carry the fault counters that produced them.
+    EXPECT_NE(j1.first.find("\"faults\""), std::string::npos);
 
     EXPECT_EQ(j1.first, j4.first);
     EXPECT_EQ(j1.first, j16.first);

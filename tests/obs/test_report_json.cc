@@ -152,3 +152,42 @@ TEST(ReportJson, EmptyMetricsRunIsRepresentable)
     EXPECT_EQ(met.at("mean_throughput_tok_s").num(), 0.0);
     EXPECT_EQ(met.at("ttft_s").at("count").num(), 0.0);
 }
+
+TEST(ReportJson, ZeroFaultAndOverloadStatsEmitNoBlocks)
+{
+    // All-zero counters mean nothing happened: the run must serialize
+    // exactly as if no stats had been passed at all.
+    obs::ReportJson plain, zero;
+    plain.add_run("run", sample_metrics());
+    zero.add_run("run", sample_metrics(), std::nullopt, std::nullopt,
+                 fault::FaultStats{}, engine::OverloadStats{});
+    std::ostringstream a, b;
+    plain.write(a);
+    zero.write(b);
+    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(b.str().find("\"faults\""), std::string::npos);
+    EXPECT_EQ(b.str().find("\"overload\""), std::string::npos);
+}
+
+TEST(ReportJson, NonZeroStatsEmitTheirBlocks)
+{
+    fault::FaultStats faults;
+    faults.failures = 2;
+    faults.shed = 1;
+    engine::OverloadStats overload;
+    overload.expired = 3;
+    obs::ReportJson report;
+    report.add_run("faulted", sample_metrics(), std::nullopt, std::nullopt,
+                   faults, engine::OverloadStats{});
+    report.add_run("overloaded", sample_metrics(), std::nullopt,
+                   std::nullopt, fault::FaultStats{}, overload);
+    std::ostringstream os;
+    report.write(os);
+    const auto runs = parse_json(os.str()).at("runs").arr();
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].at("faults").at("failures").num(), 2.0);
+    EXPECT_EQ(runs[0].at("faults").at("shed_requests").num(), 1.0);
+    EXPECT_FALSE(runs[0].has("overload"));
+    EXPECT_FALSE(runs[1].has("faults"));
+    EXPECT_EQ(runs[1].at("overload").at("expired").num(), 3.0);
+}

@@ -113,14 +113,5 @@ TEST(TimeSeries, EmptyPeakIsZero)
     EXPECT_DOUBLE_EQ(ts.peak_rate(), 0.0);
 }
 
-TEST(FormatPercentiles, ContainsKeys)
-{
-    Summary s;
-    s.add(1.0);
-    const std::string out = format_percentiles(s);
-    EXPECT_NE(out.find("p50="), std::string::npos);
-    EXPECT_NE(out.find("p99="), std::string::npos);
-}
-
 } // namespace
 } // namespace shiftpar

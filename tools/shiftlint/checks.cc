@@ -405,8 +405,9 @@ class StructSerializerDriftCheck final : public Check
              {"ReportJson::write"}, false},
             {"OverloadStats", "engine/overload.h",
              {"ReportJson::write"}, false},
-            {"Run", "obs/report_json.h", {"ReportJson::write"}, false},
-            {"LatencySummary", "obs/report_json.h",
+            {"RunSummary", "obs/report_json.h", {"ReportJson::write"},
+             false},
+            {"HistogramSummary", "util/histogram.h",
              {"ReportJson::write"}, false},
             {"Metrics", "engine/metrics.h", {"Metrics::merge"}, true},
             {"KernelClassFit", "calibrate/calibrate.h",
