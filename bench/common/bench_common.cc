@@ -6,10 +6,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "obs/metrics_registry.h"
 #include "sim/profiler.h"
+#include "util/argparse.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -158,9 +160,13 @@ init(int argc, char** argv)
         } else if (std::strcmp(arg, "--no-report") == 0) {
             o.report_enabled = false;
         } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-            o.jobs = std::atoi(argv[++i]);
-            if (o.jobs < 1)
+            const std::int64_t n = parse_int_flag("jobs", argv[++i]);
+            if (n < 1)
                 fatal("--jobs requires a positive worker count");
+            if (n > std::numeric_limits<int>::max())
+                fatal("flag --jobs value is out of range: '" +
+                      std::string(argv[i]) + "'");
+            o.jobs = static_cast<int>(n);
         } else if (std::strcmp(arg, "--profile") == 0) {
             o.profile = true;
         } else if (std::strcmp(arg, "--metrics-out") == 0 && i + 1 < argc) {

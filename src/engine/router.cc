@@ -216,7 +216,7 @@ Router::schedule_retry(const RequestSpec& spec, RequestId id, double t)
     }
     // Every copy is gone: the retry targets the logical request.
     id = logical;
-    const int attempt = ++attempts_[id];
+    const int attempt = ++f.attempts;
     if (attempt > resilience_.max_retries) {
         ++fault_stats_.lost;
         publish(engines_[0]->trace_id(), id, obs::RequestPhase::kLost, t);
@@ -409,7 +409,6 @@ Router::run_workload(const std::vector<RequestSpec>& workload)
     cluster.set_profile(profile_);
     active_cluster_ = &cluster;
     fault_stats_ = {};
-    attempts_.clear();
     pending_restores_.assign(engines_.size(), {});
 
     // Every logical request gets a flight that some terminal outcome

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
@@ -282,6 +281,7 @@ class Router
         bool hedged = false;        ///< a clone copy was submitted
         bool primary_live = false;  ///< primary copy sits on some replica
         bool clone_live = false;    ///< hedge clone sits on some replica
+        int attempts = 0;           ///< fault retries spent so far
     };
 
     /** Per-replica circuit-breaker state machine. */
@@ -368,7 +368,6 @@ class Router
     ResilienceOptions resilience_;
     fault::FaultStats fault_stats_;
     sim::Cluster* active_cluster_ = nullptr;  ///< replay-scoped borrow
-    std::unordered_map<RequestId, int> attempts_;  ///< retry counts
     /** Pending straggle/degrade restore events, cancelled on fail-stop. */
     std::vector<std::vector<sim::EventId>> pending_restores_;
 

@@ -6,35 +6,27 @@
 namespace shiftpar::kvcache {
 
 BlockAllocator::BlockAllocator(std::int64_t num_blocks, int block_size)
-    : num_blocks_(num_blocks), block_size_(block_size),
-      allocated_(static_cast<std::size_t>(num_blocks), false)
+    : num_blocks_(num_blocks), block_size_(block_size)
 {
     SP_ASSERT(num_blocks >= 0 && block_size >= 1);
-    free_list_.reserve(static_cast<std::size_t>(num_blocks));
-    // Populate so that the first allocations hand out ascending ids.
-    for (std::int64_t b = num_blocks - 1; b >= 0; --b)
-        free_list_.push_back(b);
 }
 
-std::optional<BlockId>
-BlockAllocator::allocate()
+bool
+BlockAllocator::acquire(std::int64_t n)
 {
-    if (free_list_.empty())
-        return std::nullopt;
-    const BlockId b = free_list_.back();
-    free_list_.pop_back();
-    allocated_[static_cast<std::size_t>(b)] = true;
-    return b;
+    SP_ASSERT(n >= 0);
+    if (n > num_free())
+        return false;
+    used_ += n;
+    return true;
 }
 
 void
-BlockAllocator::free(BlockId block)
+BlockAllocator::release(std::int64_t n)
 {
-    SP_ASSERT(block >= 0 && block < num_blocks_, "free of invalid block id");
-    SP_ASSERT(allocated_[static_cast<std::size_t>(block)],
-              "double free of KV block");
-    allocated_[static_cast<std::size_t>(block)] = false;
-    free_list_.push_back(block);
+    SP_ASSERT(n >= 0 && n <= used_, "release of ", n,
+              " KV blocks exceeds the ", used_, " in use");
+    used_ -= n;
 }
 
 std::int64_t
@@ -48,7 +40,7 @@ BlockAllocator::utilization() const
 {
     return num_blocks_ == 0
                ? 0.0
-               : static_cast<double>(num_used()) /
+               : static_cast<double>(used_) /
                      static_cast<double>(num_blocks_);
 }
 

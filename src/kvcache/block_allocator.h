@@ -1,26 +1,22 @@
 /**
  * @file
- * Paged KV-cache block pool (vLLM-style PagedAttention allocator).
+ * Paged KV-cache block pool, kept as a count.
  *
- * The KV cache is carved into fixed-size blocks of `block_size` tokens;
- * requests own chains of blocks via `BlockTable`. The allocator is a simple
- * free-list with O(1) allocate/free and exact occupancy accounting — enough
- * to reproduce cache-pressure effects (admission control, preemption, the
- * Mooncake overflow of Section 4.2.2) without modeling block contents.
+ * The KV cache is carved into fixed-size blocks of `block_size` tokens and
+ * each request's `BlockTable` holds some number of them. The simulator
+ * models cache capacity, not cache contents: admission control, preemption
+ * and the Mooncake overflow of Section 4.2.2 depend only on how many blocks
+ * are in use. So the pool is one counter of used blocks out of
+ * `num_blocks`, with an all-or-nothing `acquire(n)` and a `release(n)`.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 namespace shiftpar::kvcache {
 
-/** Identifier of one cache block. */
-using BlockId = std::int64_t;
-
-/** Fixed-size block pool with a free list. */
+/** Fixed-size block pool: exact occupancy, no block identities. */
 class BlockAllocator
 {
   public:
@@ -30,26 +26,26 @@ class BlockAllocator
      */
     BlockAllocator(std::int64_t num_blocks, int block_size);
 
-    /** @return a free block, or nullopt when the pool is exhausted. */
-    std::optional<BlockId> allocate();
+    /**
+     * Take `n` blocks from the pool, all of them or none.
+     *
+     * @return true on success; false (pool unchanged) when fewer than `n`
+     * blocks are free.
+     */
+    bool acquire(std::int64_t n);
 
-    /** Return `block` to the pool; double-free is a panic. */
-    void free(BlockId block);
-
-    /** @return true when at least `n` blocks are free. */
-    bool can_allocate(std::int64_t n) const { return num_free() >= n; }
+    /** Return `n` blocks to the pool; releasing more than are in use is a
+     * panic. */
+    void release(std::int64_t n);
 
     /** @return free block count. */
-    std::int64_t num_free() const
-    {
-        return static_cast<std::int64_t>(free_list_.size());
-    }
+    std::int64_t num_free() const { return num_blocks_ - used_; }
 
     /** @return total block count. */
     std::int64_t num_blocks() const { return num_blocks_; }
 
-    /** @return allocated block count. */
-    std::int64_t num_used() const { return num_blocks_ - num_free(); }
+    /** @return blocks in use. */
+    std::int64_t num_used() const { return used_; }
 
     /** @return tokens per block. */
     int block_size() const { return block_size_; }
@@ -57,14 +53,13 @@ class BlockAllocator
     /** @return blocks needed to hold `tokens` tokens. */
     std::int64_t blocks_for_tokens(std::int64_t tokens) const;
 
-    /** @return fraction of the pool currently allocated, in [0, 1]. */
+    /** @return fraction of the pool in use, in [0, 1]. */
     double utilization() const;
 
   private:
     std::int64_t num_blocks_;
+    std::int64_t used_ = 0;
     int block_size_;
-    std::vector<BlockId> free_list_;
-    std::vector<bool> allocated_;
 };
 
 } // namespace shiftpar::kvcache

@@ -1,7 +1,6 @@
 #include "kvcache/block_table.h"
 
 #include "util/logging.h"
-#include "util/units.h"
 
 namespace shiftpar::kvcache {
 
@@ -9,19 +8,11 @@ bool
 BlockTable::append_tokens(std::int64_t tokens, BlockAllocator& allocator)
 {
     SP_ASSERT(tokens >= 0);
-    if (tokens == 0)
-        return true;
-    const std::int64_t needed_total =
-        allocator.blocks_for_tokens(num_tokens_ + tokens);
-    const std::int64_t extra = needed_total - num_blocks();
-    if (extra > 0 && !allocator.can_allocate(extra))
+    const std::int64_t extra =
+        allocator.blocks_for_tokens(num_tokens_ + tokens) - num_blocks_;
+    if (!allocator.acquire(extra))
         return false;
-    for (std::int64_t i = 0; i < extra; ++i) {
-        auto block = allocator.allocate();
-        SP_ASSERT(block.has_value(),
-                  "allocator reneged after can_allocate succeeded");
-        blocks_.push_back(*block);
-    }
+    num_blocks_ += extra;
     num_tokens_ += tokens;
     return true;
 }
@@ -29,9 +20,8 @@ BlockTable::append_tokens(std::int64_t tokens, BlockAllocator& allocator)
 void
 BlockTable::release(BlockAllocator& allocator)
 {
-    for (BlockId b : blocks_)
-        allocator.free(b);
-    blocks_.clear();
+    allocator.release(num_blocks_);
+    num_blocks_ = 0;
     num_tokens_ = 0;
 }
 

@@ -1,19 +1,19 @@
 /**
  * @file
- * Per-request block table: the chain of cache blocks holding one sequence.
+ * Per-request block table: how many tokens one sequence has cached and how
+ * many pool blocks hold them.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "kvcache/block_allocator.h"
 
 namespace shiftpar::kvcache {
 
 /**
- * Tracks the blocks backing one sequence's KV cache.
+ * Counts the blocks backing one sequence's KV cache.
  *
  * Growth is all-or-nothing: `append_tokens` either acquires every block the
  * new tokens need or acquires none (so a failed admission leaves the pool
@@ -23,9 +23,9 @@ class BlockTable
 {
   public:
     /**
-     * Extend the sequence by `tokens` tokens, allocating blocks on demand.
+     * Extend the sequence by `tokens` tokens, acquiring blocks on demand.
      *
-     * @return true on success; false (with no allocation) when the pool
+     * @return true on success; false (with no acquisition) when the pool
      * cannot supply the required blocks.
      */
     bool append_tokens(std::int64_t tokens, BlockAllocator& allocator);
@@ -36,18 +36,12 @@ class BlockTable
     /** @return tokens currently stored. */
     std::int64_t num_tokens() const { return num_tokens_; }
 
-    /** @return blocks currently owned. */
-    std::int64_t num_blocks() const
-    {
-        return static_cast<std::int64_t>(blocks_.size());
-    }
-
-    /** @return the owned block ids in sequence order. */
-    const std::vector<BlockId>& blocks() const { return blocks_; }
+    /** @return blocks currently held. */
+    std::int64_t num_blocks() const { return num_blocks_; }
 
   private:
-    std::vector<BlockId> blocks_;
     std::int64_t num_tokens_ = 0;
+    std::int64_t num_blocks_ = 0;
 };
 
 } // namespace shiftpar::kvcache

@@ -69,6 +69,19 @@ ArgParser::add_bool(const std::string& name, bool def,
     order_.push_back(name);
 }
 
+std::int64_t
+parse_int_flag(const std::string& name, const std::string& value)
+{
+    errno = 0;
+    char* end = nullptr;
+    const std::int64_t v = std::strtoll(value.c_str(), &end, 10);
+    if (end == value.c_str() || *end != '\0')
+        fatal("flag --" + name + " expects an integer, got '" + value + "'");
+    if (errno == ERANGE)
+        fatal("flag --" + name + " value is out of range: '" + value + "'");
+    return v;
+}
+
 void
 ArgParser::set_value(const std::string& name, const std::string& value)
 {
@@ -80,15 +93,7 @@ ArgParser::set_value(const std::string& name, const std::string& value)
     // bound that saturates to LLONG_MAX/inf would run a very different
     // experiment from the one the user typed.
     if (it->second.kind == Kind::kInt) {
-        errno = 0;
-        char* end = nullptr;
-        std::strtoll(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0')
-            fatal("flag --" + name + " expects an integer, got '" + value +
-                  "'");
-        if (errno == ERANGE)
-            fatal("flag --" + name + " value is out of range: '" + value +
-                  "'");
+        parse_int_flag(name, value);
     } else if (it->second.kind == Kind::kDouble) {
         errno = 0;
         char* end = nullptr;

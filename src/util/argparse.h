@@ -16,6 +16,14 @@
 
 namespace shiftpar {
 
+/**
+ * Parse `value` as a base-10 integer given to flag `--name`. Trailing
+ * characters and values outside `std::int64_t` are fatal errors that name
+ * the flag: never a silent prefix parse or a saturated value.
+ */
+std::int64_t parse_int_flag(const std::string& name,
+                            const std::string& value);
+
 /** Declarative flag set bound to argc/argv. */
 class ArgParser
 {

@@ -208,6 +208,7 @@ TEST(EngineFault, FailDropsInFlightWorkAndStopsTheClock)
     EXPECT_TRUE(e->failed());
     EXPECT_FALSE(e->has_work());
     EXPECT_TRUE(std::isinf(e->next_event_time()));
+    EXPECT_EQ(e->cache().utilization(), 0.0);
 
     e->recover(1.5);
     EXPECT_FALSE(e->failed());

@@ -13,8 +13,8 @@ TEST(BlockAllocator, AllocateUntilExhausted)
     BlockAllocator a(4, 16);
     EXPECT_EQ(a.num_free(), 4);
     for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(a.allocate().has_value());
-    EXPECT_FALSE(a.allocate().has_value());
+        EXPECT_TRUE(a.acquire(1));
+    EXPECT_FALSE(a.acquire(1));
     EXPECT_EQ(a.num_used(), 4);
     EXPECT_DOUBLE_EQ(a.utilization(), 1.0);
 }
@@ -22,23 +22,20 @@ TEST(BlockAllocator, AllocateUntilExhausted)
 TEST(BlockAllocator, FreeReturnsBlocks)
 {
     BlockAllocator a(2, 16);
-    const BlockId b = *a.allocate();
-    a.free(b);
+    ASSERT_TRUE(a.acquire(2));
+    a.release(2);
     EXPECT_EQ(a.num_free(), 2);
+    EXPECT_EQ(a.num_used(), 0);
 }
 
-TEST(BlockAllocator, DoubleFreePanics)
+TEST(BlockAllocator, OverReleasePanics)
 {
-    BlockAllocator a(2, 16);
-    const BlockId b = *a.allocate();
-    a.free(b);
-    EXPECT_DEATH(a.free(b), "double free");
-}
-
-TEST(BlockAllocator, InvalidFreePanics)
-{
-    BlockAllocator a(2, 16);
-    EXPECT_DEATH(a.free(99), "invalid block");
+    // Never return more than is held: the count is the only leak check.
+    BlockAllocator a(4, 16);
+    ASSERT_TRUE(a.acquire(2));
+    EXPECT_DEATH(a.release(3), "exceeds the 2 in use");
+    a.release(2);
+    EXPECT_DEATH(a.release(1), "exceeds the 0 in use");
 }
 
 TEST(BlockAllocator, BlocksForTokens)
@@ -52,9 +49,13 @@ TEST(BlockAllocator, BlocksForTokens)
 
 TEST(BlockAllocator, CanAllocate)
 {
+    // acquire is all-or-nothing: a request larger than the free count
+    // takes nothing.
     BlockAllocator a(3, 16);
-    EXPECT_TRUE(a.can_allocate(3));
-    EXPECT_FALSE(a.can_allocate(4));
+    EXPECT_FALSE(a.acquire(4));
+    EXPECT_EQ(a.num_free(), 3);
+    EXPECT_TRUE(a.acquire(3));
+    EXPECT_EQ(a.num_free(), 0);
 }
 
 TEST(BlockTable, GrowthAllocatesOnBlockBoundaries)
