@@ -191,11 +191,10 @@ Engine::fail(double t)
     // just unpinned by the drop) are destroyed too, so a recovered engine
     // restarts cold.
     cache_.evict_idle_prefixes(std::numeric_limits<std::int64_t>::max());
-    SP_ASSERT(cache_.num_requests() == 0 && cache_.prefix_entry_count() == 0,
+    SP_ASSERT(cache_.num_requests() == 0 &&
+                  cache_.prefix_entry_count() == 0 &&
+                  cache_.utilization() == 0.0,
               "failed engine still holds KV state");
-    SP_ASSERT(cache_.utilization() == 0.0,
-              "failed engine leaked KV blocks: utilization ",
-              cache_.utilization());
 
     publish_fault(obs::FaultKind::kFail, now_, 0.0,
                   static_cast<std::int64_t>(out.size()));

@@ -35,7 +35,7 @@ class BlockAllocator
     bool acquire(std::int64_t n);
 
     /** Return `n` blocks to the pool; releasing more than are in use is a
-     * panic. */
+     *  panic. */
     void release(std::int64_t n);
 
     /** @return free block count. */
