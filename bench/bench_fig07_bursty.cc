@@ -59,28 +59,30 @@ main(int argc, char** argv)
         const auto run = bench::run_strategy(m, s, reqs);
         return bench::SweepCommit([&, s, run] {
             const auto& met = run.metrics;
+            const util::Histogram ttft = met.ttft();
+            const util::Histogram tpot = met.tpot();
+            const TimeSeries throughput = met.throughput();
             const char* label =
                 s == parallel::Strategy::kDp ? "vLLM (throughput opt.-DP)"
                 : s == parallel::Strategy::kTp ? "vLLM (latency opt.-TP)"
                 : s == parallel::Strategy::kSp ? "vLLM+SP (static)"
                                                : "vLLM+Shift Parallelism";
             table.add_row(
-                {label, Table::fmt(to_ms(met.ttft().median())) + " ms",
-                 Table::fmt(to_ms(met.tpot().median())) + " ms",
-                 Table::fmt(to_ms(met.ttft().percentile(99))) + " ms",
-                 Table::fmt_count(static_cast<long long>(
-                     met.throughput().peak_rate())) +
+                {label, Table::fmt(to_ms(ttft.median())) + " ms",
+                 Table::fmt(to_ms(tpot.median())) + " ms",
+                 Table::fmt(to_ms(ttft.percentile(99))) + " ms",
+                 Table::fmt_count(
+                     static_cast<long long>(throughput.peak_rate())) +
                      " tok/s"});
             csv.add_row({parallel::strategy_name(s),
-                         Table::fmt(to_ms(met.ttft().median()), 2),
-                         Table::fmt(to_ms(met.tpot().median()), 2),
-                         Table::fmt(to_ms(met.ttft().percentile(99)), 2),
-                         Table::fmt(met.throughput().peak_rate(), 0)});
-            for (std::size_t b = 0; b < met.throughput().num_bins(); ++b) {
-                timeline.add_row(
-                    {parallel::strategy_name(s),
-                     Table::fmt(met.throughput().bin_start(b), 1),
-                     Table::fmt(met.throughput().rate(b), 0)});
+                         Table::fmt(to_ms(ttft.median()), 2),
+                         Table::fmt(to_ms(tpot.median()), 2),
+                         Table::fmt(to_ms(ttft.percentile(99)), 2),
+                         Table::fmt(throughput.peak_rate(), 0)});
+            for (std::size_t b = 0; b < throughput.num_bins(); ++b) {
+                timeline.add_row({parallel::strategy_name(s),
+                                  Table::fmt(throughput.bin_start(b), 1),
+                                  Table::fmt(throughput.rate(b), 0)});
             }
         });
     });

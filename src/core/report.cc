@@ -48,10 +48,11 @@ format_report(const ResolvedDeployment& deployment,
            << " tok/s goodput\n";
     }
 
-    if (opts.timeline && metrics.throughput().num_bins() > 1) {
+    const TimeSeries throughput = metrics.throughput();
+    if (opts.timeline && throughput.num_bins() > 1) {
         PlotSeries series{"combined tok/s", {}};
-        for (std::size_t b = 0; b < metrics.throughput().num_bins(); ++b)
-            series.values.push_back(metrics.throughput().rate(b));
+        for (std::size_t b = 0; b < throughput.num_bins(); ++b)
+            series.values.push_back(throughput.rate(b));
         LinePlotOptions plot;
         plot.width = opts.plot_width;
         plot.height = 10;

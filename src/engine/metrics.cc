@@ -6,9 +6,42 @@
 
 namespace shiftpar::engine {
 
-Metrics::Metrics(double throughput_bin)
-    : throughput_(throughput_bin)
+namespace {
+
+/**
+ * Histogram of one latency field over the request log, in log order;
+ * `multi_token_only` skips requests with at most one output token (they
+ * have no inter-token gap).
+ */
+util::Histogram
+fold_latency(const std::vector<RequestRecord>& log,
+             double RequestRecord::*field, bool multi_token_only = false)
 {
+    util::Histogram h;
+    for (const RequestRecord& rec : log) {
+        if (!multi_token_only || rec.output_tokens > 1)
+            h.add(rec.*field);
+    }
+    return h;
+}
+
+/** Sum of one field over the step log, added in log order. */
+template <class T>
+T
+sum_steps(const std::vector<StepRecord>& log, T StepRecord::*field)
+{
+    T sum{};
+    for (const StepRecord& step : log)
+        sum += step.*field;
+    return sum;
+}
+
+} // namespace
+
+Metrics::Metrics(double throughput_bin)
+    : throughput_bin_(throughput_bin)
+{
+    SP_ASSERT(throughput_bin > 0.0);
 }
 
 void
@@ -32,11 +65,6 @@ void
 Metrics::add_record(const RequestRecord& rec)
 {
     requests_.push_back(rec);
-    ttft_.add(rec.ttft);
-    if (rec.output_tokens > 1)
-        tpot_.add(rec.tpot);
-    completion_.add(rec.completion);
-    wait_.add(rec.wait);
 }
 
 void
@@ -45,36 +73,100 @@ Metrics::on_step(const StepRecord& step)
     SP_ASSERT(step.end >= step.start && step.start >= 0.0,
               "malformed step record");
     steps_.push_back(step);
-    throughput_.add(step.end, static_cast<double>(step.batched_tokens));
-    component_totals_ += step.timing;
-    total_tokens_ += step.batched_tokens;
-    if (step.cfg.sp > 1)
-        ++sp_steps_;
-    else
-        ++tp_steps_;
-    end_time_ = std::max(end_time_, step.end);
 }
 
 void
 Metrics::merge(const Metrics& other)
 {
+    // Appending a vector to itself is undefined.
     SP_ASSERT(&other != this, "cannot merge a Metrics into itself");
-    // Delegate to the single-sample paths so merged aggregates are
-    // bit-identical to direct accumulation (merging an empty Metrics is a
-    // no-op; merging into an empty Metrics reproduces `other` exactly up
-    // to throughput rebinning when bin widths differ).
-    for (const auto& rec : other.requests_)
-        add_record(rec);
-    for (const auto& step : other.steps_)
-        on_step(step);
+    SP_ASSERT(other.throughput_bin_ == throughput_bin_,
+              "cannot merge Metrics with different throughput bin widths");
+    requests_.insert(requests_.end(), other.requests_.begin(),
+                     other.requests_.end());
+    steps_.insert(steps_.end(), other.steps_.begin(), other.steps_.end());
+}
+
+void
+Metrics::reserve(std::size_t requests, std::size_t steps)
+{
+    requests_.reserve(requests);
+    steps_.reserve(steps);
+}
+
+util::Histogram
+Metrics::ttft() const
+{
+    return fold_latency(requests_, &RequestRecord::ttft);
+}
+
+util::Histogram
+Metrics::tpot() const
+{
+    return fold_latency(requests_, &RequestRecord::tpot,
+                        /*multi_token_only=*/true);
+}
+
+util::Histogram
+Metrics::completion() const
+{
+    return fold_latency(requests_, &RequestRecord::completion);
+}
+
+util::Histogram
+Metrics::wait() const
+{
+    return fold_latency(requests_, &RequestRecord::wait);
+}
+
+TimeSeries
+Metrics::throughput() const
+{
+    TimeSeries series(throughput_bin_);
+    for (const StepRecord& step : steps_)
+        series.add(step.end, static_cast<double>(step.batched_tokens));
+    return series;
+}
+
+std::int64_t
+Metrics::total_tokens() const
+{
+    return sum_steps(steps_, &StepRecord::batched_tokens);
+}
+
+double
+Metrics::end_time() const
+{
+    double end = 0.0;
+    for (const StepRecord& step : steps_)
+        end = std::max(end, step.end);
+    return end;
+}
+
+parallel::StepTiming
+Metrics::component_totals() const
+{
+    return sum_steps(steps_, &StepRecord::timing);
+}
+
+std::int64_t
+Metrics::sp_steps() const
+{
+    return std::count_if(steps_.begin(), steps_.end(),
+                         [](const StepRecord& s) { return s.cfg.sp > 1; });
+}
+
+std::int64_t
+Metrics::tp_steps() const
+{
+    return static_cast<std::int64_t>(steps_.size()) - sp_steps();
 }
 
 double
 Metrics::mean_throughput() const
 {
-    return end_time_ > 0.0
-               ? static_cast<double>(total_tokens_) / end_time_
-               : 0.0;
+    const double end = end_time();
+    return end > 0.0 ? static_cast<double>(total_tokens()) / end : 0.0;
 }
 
 double
@@ -93,7 +185,8 @@ Metrics::slo_attainment(const SloSpec& slo) const
 double
 Metrics::goodput(const SloSpec& slo) const
 {
-    if (end_time_ <= 0.0)
+    const double end = end_time();
+    if (end <= 0.0)
         return 0.0;
     double tokens = 0.0;
     for (const auto& r : requests_) {
@@ -102,7 +195,7 @@ Metrics::goodput(const SloSpec& slo) const
             tokens += static_cast<double>(r.prompt_tokens +
                                           r.output_tokens);
     }
-    return tokens / end_time_;
+    return tokens / end;
 }
 
 } // namespace shiftpar::engine

@@ -2,10 +2,12 @@
  * @file
  * Experiment telemetry: per-request records, per-step traces, aggregates.
  *
- * Collected once per engine; `Metrics::merge` combines replicas for DP
- * deployments. Everything the paper reports is derived here: TTFT / TPOT /
- * completion distributions (Figs. 9-11), time-binned combined throughput
- * and its peak (Table 5, Fig. 7), and cost-component totals (Fig. 15).
+ * `Metrics` stores two logs and nothing else: one record per finished
+ * request and one per engine step. Every aggregate the paper reports is a
+ * fold over those logs in recording order: TTFT / TPOT / completion
+ * distributions (Figs. 9-11), time-binned combined throughput and its peak
+ * (Table 5, Fig. 7), and cost-component totals (Fig. 15). `Metrics::merge`
+ * combines DP replicas by concatenating their logs.
  */
 
 #pragma once
@@ -57,7 +59,11 @@ struct SloSpec
     double tpot = 0.05;
 };
 
-/** Aggregated results of one run. */
+/**
+ * Recorded results of one run: the request and step logs. Recording only
+ * appends; each aggregate accessor folds a log in vector order and returns
+ * a fresh value, so callers that read one in a loop bind it once.
+ */
 class Metrics
 {
   public:
@@ -71,11 +77,19 @@ class Metrics
      *  spanned multiple engines in a disaggregated deployment). */
     void add_record(const RequestRecord& rec);
 
-    /** Record one engine step (also feeds the throughput timeline). */
+    /** Record one engine step. */
     void on_step(const StepRecord& step);
 
-    /** Fold another engine's metrics into this one (DP merge). */
+    /**
+     * Append another engine's logs to this one (DP merge). Both must use
+     * the same throughput bin width. Every aggregate of the result equals,
+     * bit for bit, that of one `Metrics` fed this one's records and then
+     * `other`'s.
+     */
     void merge(const Metrics& other);
+
+    /** Reserve room for `requests` request and `steps` step records. */
+    void reserve(std::size_t requests, std::size_t steps);
 
     /** @return per-request records, in completion order. */
     const std::vector<RequestRecord>& requests() const { return requests_; }
@@ -83,30 +97,35 @@ class Metrics
     /** @return per-step records, in time order (per engine). */
     const std::vector<StepRecord>& steps() const { return steps_; }
 
-    /**
-     * TTFT distribution, seconds. Latency distributions are streaming
-     * log-bucketed histograms: constant memory per engine with quantiles
-     * exact to within 0.5% relative error (moments are exact).
-     */
-    const util::Histogram& ttft() const { return ttft_; }
+    /** @return the width of throughput time bins, seconds. */
+    double bin_seconds() const { return throughput_bin_; }
 
-    /** TPOT distribution, seconds. */
-    const util::Histogram& tpot() const { return tpot_; }
+    /**
+     * TTFT distribution, seconds. Latency distributions are log-bucketed
+     * histograms folded over the request log: quantiles exact to within
+     * 0.5% relative error, moments exact.
+     */
+    util::Histogram ttft() const;
+
+    /** TPOT distribution over requests with more than one output token,
+     *  seconds. */
+    util::Histogram tpot() const;
 
     /** Completion-time distribution, seconds. */
-    const util::Histogram& completion() const { return completion_; }
+    util::Histogram completion() const;
 
     /** Queueing-delay distribution, seconds. */
-    const util::Histogram& wait() const { return wait_; }
+    util::Histogram wait() const;
 
-    /** Combined (prompt+output) token throughput timeline, tokens/s. */
-    const TimeSeries& throughput() const { return throughput_; }
+    /** Combined (prompt+output) token throughput timeline, tokens/s:
+     *  each step's tokens land in the bin holding its end time. */
+    TimeSeries throughput() const;
 
     /** @return total tokens processed (prompt + output). */
-    std::int64_t total_tokens() const { return total_tokens_; }
+    std::int64_t total_tokens() const;
 
     /** @return latest step end time across merged engines, seconds. */
-    double end_time() const { return end_time_; }
+    double end_time() const;
 
     /** @return mean combined throughput over [0, end_time], tokens/s. */
     double mean_throughput() const;
@@ -124,30 +143,18 @@ class Metrics
     double goodput(const SloSpec& slo) const;
 
     /** @return sum of per-step cost components across all steps. */
-    const parallel::StepTiming& component_totals() const
-    {
-        return component_totals_;
-    }
+    parallel::StepTiming component_totals() const;
 
     /** @return number of steps executed with SP > 1 (base config). */
-    std::int64_t sp_steps() const { return sp_steps_; }
+    std::int64_t sp_steps() const;
 
     /** @return number of steps executed with SP == 1 (full TP / shift). */
-    std::int64_t tp_steps() const { return tp_steps_; }
+    std::int64_t tp_steps() const;
 
   private:
     std::vector<RequestRecord> requests_;
     std::vector<StepRecord> steps_;
-    util::Histogram ttft_;
-    util::Histogram tpot_;
-    util::Histogram completion_;
-    util::Histogram wait_;
-    TimeSeries throughput_;
-    parallel::StepTiming component_totals_;
-    std::int64_t total_tokens_ = 0;
-    std::int64_t sp_steps_ = 0;
-    std::int64_t tp_steps_ = 0;
-    double end_time_ = 0.0;
+    double throughput_bin_;
 };
 
 } // namespace shiftpar::engine

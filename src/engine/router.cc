@@ -827,7 +827,16 @@ Router::merged_metrics() const
     // must not index engines_[0].
     if (engines_.empty())
         return Metrics();
-    Metrics merged(engines_[0]->metrics().throughput().bin_seconds());
+    // Size the merged logs once: growing them engine by engine would
+    // hold a doubled step log at each reallocation.
+    std::size_t requests = 0;
+    std::size_t steps = 0;
+    for (const auto& e : engines_) {
+        requests += e->metrics().requests().size();
+        steps += e->metrics().steps().size();
+    }
+    Metrics merged(engines_[0]->metrics().bin_seconds());
+    merged.reserve(requests, steps);
     for (const auto& e : engines_)
         merged.merge(e->metrics());
     return merged;

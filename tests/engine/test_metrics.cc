@@ -1,8 +1,8 @@
 /**
  * @file
- * Metrics edge cases: merge with empty operands, self-merge, merge
- * equivalence with direct accumulation, and zero-duration throughput /
- * goodput queries.
+ * Metrics edge cases: merge with empty operands, self-merge, merge of
+ * different bin widths, bit-exact merge equivalence with direct
+ * accumulation, and zero-duration throughput / goodput queries.
  */
 
 #include <gtest/gtest.h>
@@ -81,24 +81,65 @@ TEST(Metrics, MergeIntoEmptyReproducesSource)
 
 TEST(Metrics, MergeMatchesDirectAccumulation)
 {
+    // The contract Router::merged_metrics relies on: merging b into a
+    // equals, bit for bit, one Metrics fed a's records and then b's.
     Metrics a(1.0), b(1.0), direct(1.0);
     for (int i = 0; i < 20; ++i) {
-        const RequestRecord rec = record(i, 0.05 * (i + 1), 0.01);
-        const StepRecord s = step(i * 0.5, i * 0.5 + 0.4, 64 + i, i % 2 ? 4 : 1);
-        ((i % 2 == 0) ? a : b).add_record(rec);
-        ((i % 2 == 0) ? a : b).on_step(s);
-        direct.add_record(rec);
-        direct.on_step(s);
+        Metrics& part = i % 2 == 0 ? a : b;
+        part.add_record(record(i, 0.05 * (i + 1), 0.01 * (i % 3 + 1)));
+        StepRecord s = step(i * 0.5, i * 0.5 + 0.4, 64 + i, i % 2 ? 4 : 1);
+        s.timing = {0.1 + 0.01 * i, 0.03 * i, 0.007, 0.002 * i};
+        part.on_step(s);
+    }
+    for (const Metrics* part : {&a, &b}) {
+        for (const RequestRecord& rec : part->requests())
+            direct.add_record(rec);
+        for (const StepRecord& s : part->steps())
+            direct.on_step(s);
     }
     a.merge(b);
-    EXPECT_EQ(a.requests().size(), direct.requests().size());
+
+    ASSERT_EQ(a.requests().size(), direct.requests().size());
+    for (std::size_t i = 0; i < a.requests().size(); ++i)
+        EXPECT_EQ(a.requests()[i].id, direct.requests()[i].id) << i;
+    ASSERT_EQ(a.steps().size(), direct.steps().size());
+    for (std::size_t i = 0; i < a.steps().size(); ++i) {
+        EXPECT_EQ(a.steps()[i].start, direct.steps()[i].start) << i;
+        EXPECT_EQ(a.steps()[i].batched_tokens,
+                  direct.steps()[i].batched_tokens) << i;
+    }
+
     EXPECT_EQ(a.total_tokens(), direct.total_tokens());
-    EXPECT_DOUBLE_EQ(a.end_time(), direct.end_time());
-    EXPECT_DOUBLE_EQ(a.mean_throughput(), direct.mean_throughput());
-    EXPECT_DOUBLE_EQ(a.ttft().percentile(90), direct.ttft().percentile(90));
-    EXPECT_DOUBLE_EQ(a.completion().sum(), direct.completion().sum());
-    EXPECT_DOUBLE_EQ(a.throughput().peak_rate(),
-                     direct.throughput().peak_rate());
+    EXPECT_EQ(a.end_time(), direct.end_time());
+    EXPECT_EQ(a.mean_throughput(), direct.mean_throughput());
+    EXPECT_EQ(a.sp_steps(), direct.sp_steps());
+    EXPECT_EQ(a.tp_steps(), direct.tp_steps());
+    const auto same_histogram = [](const util::Histogram& x,
+                                   const util::Histogram& y) {
+        EXPECT_EQ(x.count(), y.count());
+        EXPECT_EQ(x.sum(), y.sum());
+        EXPECT_EQ(x.stddev(), y.stddev());
+        EXPECT_EQ(x.percentile(50), y.percentile(50));
+        EXPECT_EQ(x.percentile(90), y.percentile(90));
+    };
+    same_histogram(a.ttft(), direct.ttft());
+    same_histogram(a.tpot(), direct.tpot());
+    same_histogram(a.completion(), direct.completion());
+    same_histogram(a.wait(), direct.wait());
+
+    const TimeSeries at = a.throughput();
+    const TimeSeries dt = direct.throughput();
+    ASSERT_EQ(at.num_bins(), dt.num_bins());
+    for (std::size_t i = 0; i < at.num_bins(); ++i)
+        EXPECT_EQ(at.bin_value(i), dt.bin_value(i)) << i;
+    EXPECT_EQ(at.peak_rate(), dt.peak_rate());
+
+    const parallel::StepTiming ac = a.component_totals();
+    const parallel::StepTiming dc = direct.component_totals();
+    EXPECT_EQ(ac.gemm, dc.gemm);
+    EXPECT_EQ(ac.attention, dc.attention);
+    EXPECT_EQ(ac.comm, dc.comm);
+    EXPECT_EQ(ac.overhead, dc.overhead);
 }
 
 TEST(Metrics, SelfMergeIsRejected)
@@ -106,6 +147,14 @@ TEST(Metrics, SelfMergeIsRejected)
     Metrics m(1.0);
     m.add_record(record(0, 0.1, 0.02));
     EXPECT_DEATH(m.merge(m), "itself");
+}
+
+TEST(Metrics, MergeOfDifferentBinWidthsIsRejected)
+{
+    Metrics coarse(1.0);
+    Metrics fine(0.25);
+    fine.on_step(step(0.0, 1.0, 120, 4));
+    EXPECT_DEATH(coarse.merge(fine), "bin width");
 }
 
 TEST(Metrics, ZeroDurationRunHasZeroThroughput)

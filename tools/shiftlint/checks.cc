@@ -370,8 +370,9 @@ class TraceSpanBalanceCheck final : public Check
  * but not to the report writer silently vanishes from every downstream
  * analysis. Each watched struct's fields must appear in each of its
  * coverage functions (one level of same-file call delegation is
- * followed, so `Metrics::merge` delegating to `add_record`/`on_step`
- * counts).
+ * followed, so a merge that delegates to a per-record helper counts).
+ * `Metrics::merge` names its three fields directly: it appends both logs
+ * and asserts the bin widths match.
  */
 class StructSerializerDriftCheck final : public Check
 {

@@ -18,16 +18,20 @@
  *   --stats                print a cost breakdown (per-check timing,
  *                          files/sec, index size) to stderr
  *
- * Exit status: 0 clean (or everything suppressed/baselined), 1 findings,
- * 2 usage error. Run from the repository root so baseline paths match.
+ * Exit status: 0 clean (or everything suppressed/baselined), 1 findings
+ * or a FATAL flag value (missing, not an integer, out of range), 2 usage
+ * error. Run from the repository root so baseline paths match.
  */
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "driver.h"
+#include "util/argparse.h"
 #include "util/logging.h"
 
 namespace {
@@ -76,13 +80,14 @@ main(int argc, char** argv)
         } else if (arg == "--check") {
             opts.checks.push_back(next());
         } else if (arg == "--jobs") {
-            try {
-                opts.jobs = std::stoi(next());
-            } catch (const std::exception&) {
+            const std::string value = next();
+            const std::int64_t n = shiftpar::parse_int_flag("jobs", value);
+            if (n > std::numeric_limits<int>::max())
+                shiftpar::fatal("flag --jobs value is out of range: '" +
+                                value + "'");
+            if (n < 0)
                 return usage(argv[0]);
-            }
-            if (opts.jobs < 0)
-                return usage(argv[0]);
+            opts.jobs = static_cast<int>(n);
         } else if (arg == "--stats") {
             print_stats = true;
         } else if (arg == "--list-checks") {
