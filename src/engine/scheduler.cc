@@ -7,6 +7,17 @@
 
 namespace shiftpar::engine {
 
+namespace {
+
+/** `r`'s share of Scheduler::outstanding_tokens(). */
+std::int64_t
+load_of(const Request& r)
+{
+    return r.prefill_remaining() + (r.spec.output_tokens - r.decoded);
+}
+
+} // namespace
+
 std::int64_t
 BatchPlan::batched_tokens() const
 {
@@ -47,6 +58,7 @@ Scheduler::enqueue(Request* r)
     SP_ASSERT(r != nullptr && r->state == RequestState::kWaiting);
     if (r->spec.deadline > 0.0)
         has_deadlines_ = true;
+    outstanding_ += load_of(*r);
     insert_waiting(r, /*front_of_class=*/false);
 }
 
@@ -55,7 +67,10 @@ Scheduler::insert_waiting(Request* r, bool front_of_class)
 {
     // Priority classes, FCFS within a class. New arrivals go behind their
     // class; preempted requests return to the front of theirs (they have
-    // the oldest in-flight work).
+    // the oldest in-flight work). The queue therefore stays in
+    // descending priority order, which the prefill pass relies on.
+    if (r->prefill_done())
+        ++waiting_prefilled_;
     const auto pos = std::find_if(
         waiting_.begin(), waiting_.end(), [&](const Request* w) {
             return front_of_class
@@ -96,7 +111,9 @@ Scheduler::preempt_one(const Request* keep, BatchPlan* plan)
                 });
             }
             release_state(victim);
+            outstanding_ -= load_of(*victim);
             victim->reset_for_recompute();
+            outstanding_ += load_of(*victim);
             running_.erase(std::next(it).base());
             insert_waiting(victim, /*front_of_class=*/true);
             ++preemptions_;
@@ -117,12 +134,13 @@ Scheduler::schedule(double now)
     // ---- Migrated-request admission ---------------------------------------
     // Requests arriving already prefilled (disaggregated decode workers)
     // materialize their transferred KV without compute; doing this before
-    // the decode pass lets them decode in this very step.
+    // the decode pass lets them decode in this very step. The scan only
+    // runs while such a request is waiting.
     bool migrated_blocked = false;
     for (auto it = waiting_.begin();
-         it != waiting_.end() && static_cast<std::int64_t>(
-                                     running_.size()) <
-                                     opts_.max_running_seqs;) {
+         waiting_prefilled_ > 0 && it != waiting_.end() &&
+         static_cast<std::int64_t>(running_.size()) <
+             opts_.max_running_seqs;) {
         Request* r = *it;
         if (r->spec.arrival > now || !r->prefill_done()) {
             ++it;
@@ -137,6 +155,7 @@ Scheduler::schedule(double now)
             continue;
         }
         it = waiting_.erase(it);
+        --waiting_prefilled_;
         r->state = RequestState::kDecode;
         if (r->first_scheduled < 0.0) {
             r->first_scheduled = now;
@@ -190,51 +209,51 @@ Scheduler::schedule(double now)
     // chunked-prefill budget in one priority-ordered pass: a freshly
     // arrived latency-class request takes budget ahead of an in-flight
     // batch-class prefill. Within a class, continuing work precedes new
-    // admissions and ties keep FCFS order (stable sort).
-    struct PrefillCandidate
-    {
-        Request* request;
-        bool is_waiting;
-    };
-    std::vector<PrefillCandidate> candidates;
+    // admissions and ties keep FCFS order. waiting_ is already in
+    // priority order, so the pass merges the few continuing prefills
+    // (stably sorted) with a lazy cursor over the queue.
+    continuing_.clear();
     for (Request* r : running_) {
         if (r->state == RequestState::kPrefill && !r->prefill_done())
-            candidates.push_back({r, false});
+            continuing_.push_back(r);
     }
-    for (Request* r : waiting_) {
-        if (r->spec.arrival <= now && !r->prefill_done())
-            candidates.push_back({r, true});
-    }
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const PrefillCandidate& a,
-                        const PrefillCandidate& b) {
-                         return a.request->spec.priority >
-                                b.request->spec.priority;
+    std::stable_sort(continuing_.begin(), continuing_.end(),
+                     [](const Request* a, const Request* b) {
+                         return a->spec.priority > b->spec.priority;
                      });
 
-    bool admission_blocked = false;
-    for (const auto& cand : candidates) {
-        if (budget <= 0)
-            break;
-        Request* r = cand.request;
-        if (!cand.is_waiting) {
-            budget -= schedule_prefill(r, budget, &plan);
+    auto next_continuing = continuing_.begin();
+    auto next_waiting = waiting_.begin();
+    while (budget > 0) {
+        // Admission stops for good at a full running set or at the first
+        // blocked request (end() marks the cursor stopped); continuing
+        // prefills still take budget after that.
+        if (static_cast<std::int64_t>(running_.size()) >=
+            opts_.max_running_seqs)
+            next_waiting = waiting_.end();
+        while (next_waiting != waiting_.end() &&
+               ((*next_waiting)->spec.arrival > now ||
+                (*next_waiting)->prefill_done()))
+            ++next_waiting;
+        const bool have_continuing = next_continuing != continuing_.end();
+        if (next_waiting == waiting_.end() ||
+            (have_continuing && (*next_continuing)->spec.priority >=
+                                    (*next_waiting)->spec.priority)) {
+            if (!have_continuing)
+                break;
+            budget -= schedule_prefill(*next_continuing++, budget, &plan);
             continue;
         }
-        if (admission_blocked ||
-            static_cast<std::int64_t>(running_.size()) >=
-                opts_.max_running_seqs) {
-            continue;
-        }
+        Request* r = *next_waiting;
         attach_prefix_if_needed(r);
         const std::int64_t scheduled = schedule_prefill(r, budget, &plan);
         if (scheduled == 0) {
             // Keep intra-class FCFS: later (same or lower class) waiting
             // requests must not jump a blocked one.
-            admission_blocked = true;
+            next_waiting = waiting_.end();
             continue;
         }
-        waiting_.erase(std::find(waiting_.begin(), waiting_.end(), r));
+        next_waiting = waiting_.erase(next_waiting);
         r->state = RequestState::kPrefill;
         if (r->first_scheduled < 0.0) {
             r->first_scheduled = now;
@@ -265,6 +284,7 @@ Scheduler::evict_if(Pred pred, bool running, RequestState to_state)
         if (!pred(r))
             return false;
         evicted.push_back(r);
+        outstanding_ -= load_of(*r);
         return true;
     };
     if (running)
@@ -272,7 +292,13 @@ Scheduler::evict_if(Pred pred, bool running, RequestState to_state)
     // Waiting requests can hold state too: a schedule() pass attaches a
     // prefix (and may fill it) before admission succeeds, so a request
     // blocked at the admission gate keeps its attachment in the queue.
-    std::erase_if(waiting_, take);
+    std::erase_if(waiting_, [&](Request* r) {
+        if (!take(r))
+            return false;
+        if (r->prefill_done())
+            --waiting_prefilled_;
+        return true;
+    });
     for (Request* r : evicted) {
         release_state(r);
         r->state = to_state;
@@ -395,6 +421,7 @@ Scheduler::attach_prefix_if_needed(Request* r)
     r->prefix_hit = attach.hit_tokens;
     r->prefix_filled = attach.hit_tokens;
     r->filling_prefix = attach.is_filler;
+    outstanding_ -= attach.hit_tokens - r->prefilled;
     r->prefilled = attach.hit_tokens;
 }
 
@@ -442,6 +469,7 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
         Request* r = c.request;
         if (c.is_prefill) {
             r->prefilled += c.new_tokens;
+            outstanding_ -= c.new_tokens;
             SP_ASSERT(r->prefilled <= r->prefill_target,
                       "prefill overshoot");
             if (!r->prefill_done())
@@ -451,16 +479,19 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
             // the resumption token after a recompute preemption.
             r->state = RequestState::kDecode;
             r->decoded += 1;
+            outstanding_ -= 1;
             if (r->first_token < 0.0) {
                 r->first_token = now;
                 publish(r, obs::RequestPhase::kFirstToken, now);
             }
         } else {
             r->decoded += c.new_tokens;
+            outstanding_ -= c.new_tokens;
         }
         if (r->done()) {
             r->state = RequestState::kFinished;
             r->finished = now;
+            outstanding_ -= load_of(*r);  // 0: prefilled and decoded
             release_state(r);
             running_.erase(std::find(running_.begin(), running_.end(), r));
             finished->push_back(r);
@@ -468,6 +499,9 @@ Scheduler::on_step_complete(double now, const BatchPlan& plan,
                     r->spec.output_tokens);
         }
     }
+#ifndef NDEBUG
+    verify_load();
+#endif
 }
 
 double
@@ -479,17 +513,28 @@ Scheduler::earliest_waiting_arrival() const
     return earliest;
 }
 
-std::int64_t
-Scheduler::outstanding_tokens() const
+#ifndef NDEBUG
+void
+Scheduler::verify_load() const
 {
-    std::int64_t total = 0;
-    for (const Request* r : waiting_)
-        total += r->prefill_remaining() +
-                 (r->spec.output_tokens - r->decoded);
+    // Debug builds keep the old queue scan as an oracle: a progress
+    // change or queue exit that skipped its running-total update shows
+    // up here instead of as a silently different routing decision.
+    std::int64_t load = 0;
+    std::size_t prefilled = 0;
+    for (const Request* r : waiting_) {
+        load += load_of(*r);
+        prefilled += r->prefill_done() ? 1 : 0;
+    }
     for (const Request* r : running_)
-        total += r->prefill_remaining() +
-                 (r->spec.output_tokens - r->decoded);
-    return total;
+        load += load_of(*r);
+    SP_DEBUG_ASSERT(load == outstanding_, "running load ", outstanding_,
+                    " but the queues hold ", load,
+                    " tokens — an update was skipped");
+    SP_DEBUG_ASSERT(prefilled == waiting_prefilled_,
+                    "prefilled-waiting count ", waiting_prefilled_,
+                    " but the queue holds ", prefilled);
 }
+#endif
 
 } // namespace shiftpar::engine

@@ -188,8 +188,19 @@ class Scheduler
     /** @return admitted (KV-holding) request count. */
     std::size_t num_running() const { return running_.size(); }
 
-    /** @return total unprocessed tokens across queued+running requests. */
-    std::int64_t outstanding_tokens() const;
+    /**
+     * @return total unprocessed tokens across queued+running requests
+     * (each request's remaining prefill plus its remaining output). A
+     * running total kept at every progress change and queue exit, so
+     * routers can poll it per decision at O(1).
+     */
+    std::int64_t outstanding_tokens() const
+    {
+#ifndef NDEBUG
+        verify_load();
+#endif
+        return outstanding_;
+    }
 
     /**
      * @return the earliest arrival time among waiting requests, or +inf
@@ -247,11 +258,22 @@ class Scheduler
     void publish(const Request* r, obs::RequestPhase phase, double t,
                  std::int64_t tokens = 0) const;
 
+#ifndef NDEBUG
+    /** Full queue scan asserting the running totals match live state. */
+    void verify_load() const;
+#endif
+
     SchedulerOptions opts_;
     kvcache::CacheManager* cache_;
     std::deque<Request*> waiting_;
     std::vector<Request*> running_;  // admission order
     std::int64_t preemptions_ = 0;
+    /** Sum of remaining prefill + output tokens over both queues. */
+    std::int64_t outstanding_ = 0;
+    /** Waiting requests that arrived prefilled (migrated-in decode). */
+    std::size_t waiting_prefilled_ = 0;
+    /** Per-step scratch: continuing prefills in priority order. */
+    std::vector<Request*> continuing_;
     /** A deadline-carrying request was enqueued (gates expiry sweeps). */
     bool has_deadlines_ = false;
     obs::TraceSink* trace_ = nullptr;

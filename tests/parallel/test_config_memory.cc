@@ -65,6 +65,37 @@ TEST(Config, ValidationRejectsUnevenKvSplit)
     EXPECT_TRUE(validate_config(m, {12, 1}).empty());  // replicate 2x
 }
 
+TEST(Config, ValidationErrorText)
+{
+    // One case per failing branch, pinned to the full message.
+    const auto l70 = model::llama_70b();
+    EXPECT_EQ(validate_config(l70, {0, 8}),
+              "parallel degrees must be >= 1, got (SP=0,TP=8)");
+    EXPECT_EQ(validate_config(l70, {16, 8}),
+              "Llama-70B: 64 query heads are not divisible across 128 "
+              "ranks");
+
+    model::ModelConfig six_kv = l70;
+    six_kv.q_heads = 48;
+    six_kv.kv_heads = 6;
+    EXPECT_EQ(validate_config(six_kv, {4, 1}),
+              "Llama-70B: 6 KV heads are not divisible across 4 ranks");
+    EXPECT_EQ(validate_config(six_kv, {8, 1}),
+              "Llama-70B: cannot replicate 6 KV heads evenly onto 8 ranks");
+
+    EXPECT_EQ(validate_config(l70, {8, 1, 0}),
+              "EP degree must be >= 1, got 0");
+    EXPECT_EQ(validate_config(l70, {8, 1, 2}),
+              "Llama-70B: EP requires a mixture-of-experts model");
+
+    model::ModelConfig q30 = model::qwen_30b_a3b();
+    EXPECT_EQ(validate_config(q30, {4, 1, 3}),
+              "Qwen-30B-A3B: EP=3 does not divide the group of 4 ranks");
+    q30.num_experts = 100;
+    EXPECT_EQ(validate_config(q30, {8, 1, 8}),
+              "Qwen-30B-A3B: 100 experts are not divisible across EP=8");
+}
+
 TEST(Memory, Eq1ShiftOverheadIsOneOverSp)
 {
     const auto m = model::llama_70b();

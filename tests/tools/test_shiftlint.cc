@@ -17,6 +17,7 @@
 
 #include "common/json_checker.h"
 #include "driver.h"
+#include "util/thread_pool.h"
 
 namespace shiftpar::lint {
 namespace {
@@ -1117,6 +1118,20 @@ TEST(ShiftlintDriver, JobsOutputByteIdenticalToSequential)
 
     for (const auto& p : paths)
         std::remove(p.c_str());
+}
+
+TEST(ShiftlintDriver, PoolSizeNeverExceedsTaskCount)
+{
+    // Pure arithmetic: no pool is built, so the huge values start no
+    // threads.
+    EXPECT_EQ(pool_size(1, 50), 1);
+    EXPECT_EQ(pool_size(4, 50), 4);
+    EXPECT_EQ(pool_size(8, 3), 3);
+    EXPECT_EQ(pool_size(2000000000, 6), 6);
+    EXPECT_EQ(pool_size(2000000000, 0), 1);
+    const int hw = util::ThreadPool::default_concurrency();
+    EXPECT_EQ(pool_size(0, 1000000), hw);
+    EXPECT_EQ(pool_size(0, 1), 1);
 }
 
 TEST(ShiftlintDriver, StatsReportCoversEveryCheck)

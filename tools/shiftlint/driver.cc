@@ -154,6 +154,15 @@ collect_sources(const std::vector<std::string>& paths)
     return out;
 }
 
+int
+pool_size(int jobs, std::size_t tasks)
+{
+    const int want =
+        jobs > 0 ? jobs : util::ThreadPool::default_concurrency();
+    return static_cast<int>(std::min(static_cast<std::size_t>(want),
+                                     std::max<std::size_t>(tasks, 1)));
+}
+
 Corpus
 load_corpus(const std::vector<std::string>& paths, int jobs,
             double* lex_seconds)
@@ -168,14 +177,15 @@ load_corpus(const std::vector<std::string>& paths, int jobs,
         ss << in.rdbuf();
         return lex_source(path, ss.str());
     };
-    if (jobs == 1 || paths.size() < 2) {
+    const int workers = pool_size(jobs, paths.size());
+    if (workers == 1) {
         for (const auto& path : paths)
             corpus.files.push_back(read_and_lex(path));
     } else {
         // Same idiom as bench::run_sweep: workers fill pre-assigned
         // slots, so the corpus lands in path order at any job count.
         corpus.files.resize(paths.size());
-        util::ThreadPool pool(jobs);
+        util::ThreadPool pool(workers);
         for (std::size_t i = 0; i < paths.size(); ++i)
             pool.submit([&, i] { corpus.files[i] = read_and_lex(paths[i]); });
         pool.wait_idle();
@@ -224,8 +234,9 @@ run_checks(Corpus& corpus, const Options& opts)
         selected[i]->run(ctx, per_check[i]);
         per_check_s[i] = watch.elapsed_s();
     };
-    if (opts.jobs != 1 && selected.size() > 1) {
-        util::ThreadPool pool(opts.jobs);
+    const int workers = pool_size(opts.jobs, selected.size());
+    if (workers > 1) {
+        util::ThreadPool pool(workers);
         for (std::size_t i = 0; i < selected.size(); ++i)
             pool.submit([&, i] { run_one(i); });
         pool.wait_idle();

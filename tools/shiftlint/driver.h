@@ -86,6 +86,14 @@ struct RunResult
 std::vector<std::string> collect_sources(
     const std::vector<std::string>& paths);
 
+/**
+ * @return the worker count for `tasks` independent tasks at `--jobs`
+ * value `jobs` (0 = hardware concurrency): never more workers than
+ * tasks, so a huge `--jobs` starts no idle threads (the same cap as the
+ * benches' sweep runner).
+ */
+int pool_size(int jobs, std::size_t tasks);
+
 /** Lex `paths` from disk into a corpus. fatal() on unreadable files.
  *  `jobs` > 1 lexes in parallel; files land in path order regardless. */
 Corpus load_corpus(const std::vector<std::string>& paths, int jobs = 1,
